@@ -1,25 +1,22 @@
 """Serial vs pooled sweep wall-clock: the --parallel speedup record.
 
 A standalone script (no pytest benches): it runs the same heuristic
-sweep three times — once serially in-process, once through the batched
-pooled path (one envelope per call, warm worker managers, pipelined
-dispatch), and once through the unbatched pooled path (one worker
-round trip per cell, the pre-batching behaviour) — and writes the
-wall-clock comparison to ``BENCH_parallel_sweep.json`` next to this
-file.  The headline metric is explicitly
+sweep twice — once serially in-process and once through the pooled
+path (one batch envelope per call, warm worker managers, pipelined
+dispatch) — and writes the wall-clock comparison to
+``BENCH_parallel_sweep.json`` next to this file.  The headline metric
+is explicitly
 
     ``speedup = serial_seconds / pooled_seconds``
 
-so values above 1.0 mean the pooled sweep beats serial; the companion
-``unbatched_speedup`` uses the same definition for the unbatched pass,
-and ``batched_vs_unbatched`` is their ratio — what batching plus warm
-managers buy *independent of core count*.  The pooled numbers include
-the full isolation overhead (wire encoding, pipe transport, child-side
-verification), so the speedup honestly reports what
-``repro-bdd experiments --parallel N`` buys, not an idealized bound.
+so values above 1.0 mean the pooled sweep beats serial.  The pooled
+numbers include the full isolation overhead (wire encoding, pipe
+transport, child-side verification), so the speedup honestly reports
+what ``repro-bdd experiments --parallel N`` buys, not an idealized
+bound.
 
-``--min-speedup`` gates the batched speedup, but only when the machine
-can physically parallelize: a pool of N workers plus the reaping
+``--min-speedup`` gates the speedup, but only when the machine can
+physically parallelize: a pool of N workers plus the reaping
 parent needs more than N CPUs to beat serial, so on smaller boxes the
 gate records itself as skipped (``speedup_gate.enforced = false``)
 instead of failing on hardware that cannot pass.
@@ -70,7 +67,7 @@ DEFAULT_BENCHMARKS = ("tlc", "minmax5", "s344")
 QUICK_BENCHMARKS = ("s344",)
 
 
-def _sweep(names, heuristics, parallel, batch=True):
+def _sweep(names, heuristics, parallel):
     calls = collect_suite_calls(list(names))
     started = time.perf_counter()
     results = run_heuristics(
@@ -78,7 +75,6 @@ def _sweep(names, heuristics, parallel, batch=True):
         heuristics=heuristics,
         compute_lower_bound=False,
         parallel=parallel,
-        batch=batch,
     )
     elapsed = time.perf_counter() - started
     return results, elapsed
@@ -147,16 +143,10 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="X",
-        help="fail unless the batched pooled speedup reaches X; the "
+        help="fail unless the pooled speedup reaches X; the "
         "gate is recorded but not enforced when the machine has "
         "fewer than workers+1 CPUs (parallelism cannot beat serial "
         "there)",
-    )
-    parser.add_argument(
-        "--no-unbatched",
-        action="store_true",
-        help="skip the unbatched pooled pass (faster CI runs that "
-        "only need the batched numbers)",
     )
     parser.add_argument(
         "--trace",
@@ -265,23 +255,6 @@ def main(argv=None) -> int:
             "worker.compute total %.4fs" % (dispatch_total, compute_total)
         )
 
-    if not args.no_unbatched:
-        # The same pooled sweep through the pre-batching path: one
-        # worker round trip per cell, cold per-request decode.  The
-        # batched-vs-unbatched ratio isolates what batching and warm
-        # managers buy, independent of how many CPUs the box has.
-        unbatched_results, unbatched_seconds = _sweep(
-            benchmarks, heuristics, parallel=args.workers, batch=False
-        )
-        _check_agreement(serial_results, unbatched_results, heuristics)
-        record["pooled_unbatched_seconds"] = round(unbatched_seconds, 4)
-        record["unbatched_speedup"] = round(
-            serial_seconds / unbatched_seconds, 4
-        )
-        record["batched_vs_unbatched"] = round(
-            unbatched_seconds / pooled_seconds, 4
-        )
-
     # The speedup floor: enforced only where the hardware can pass it.
     # N workers plus the decoding/reaping parent need more than N CPUs
     # before wall-clock parallel gains are physically possible.
@@ -358,21 +331,15 @@ def main(argv=None) -> int:
     with open(args.output, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    extra = ""
-    if "batched_vs_unbatched" in record:
-        extra = ", batched %.2fx over unbatched pooled" % (
-            record["batched_vs_unbatched"]
-        )
     print(
         "serial %.2fs vs pooled %.2fs with %d worker(s) on %d CPU(s) "
-        "(speedup %.2fx%s, %d/%d cells agree) -> %s"
+        "(speedup %.2fx, %d/%d cells agree) -> %s"
         % (
             serial_seconds,
             pooled_seconds,
             args.workers,
             cpus,
             record["speedup"],
-            extra,
             agreeing,
             record["cells"],
             args.output,

@@ -53,10 +53,9 @@ crashed on.  ``experiments --checkpoint FILE`` journals completed calls
 to JSONL; ``--resume`` continues an interrupted sweep from the journal
 (a malformed journal exits with status 2).  ``experiments --parallel N``
 shards heuristic cells across an ``N``-worker pool, batching each
-call's cells into one envelope per worker checkout (``--no-batch``
-restores per-cell round trips); ``minimize --isolate`` runs each
-heuristic in a worker process, so even a hung heuristic is SIGKILLed
-and degraded instead of hanging the CLI.
+call's cells into one envelope per worker checkout; ``minimize
+--isolate`` runs each heuristic in a worker process, so even a hung
+heuristic is SIGKILLed and degraded instead of hanging the CLI.
 """
 
 from __future__ import annotations
@@ -260,7 +259,6 @@ def _run_experiments(args: argparse.Namespace) -> int:
                 parallel=args.parallel,
                 serve_memory_limit=args.memory_limit,
                 gc=not args.no_gc,
-                batch=not args.no_batch,
             )
     except CheckpointError as error:
         print("checkpoint error: %s" % error, file=sys.stderr)
@@ -1104,13 +1102,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="address-space rlimit per pool worker (with --parallel)",
     )
     experiments_parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="with --parallel: dispatch one worker round trip per "
-        "heuristic cell instead of batching each call's cells into "
-        "one envelope (differential runs, overhead measurement)",
-    )
-    experiments_parser.add_argument(
         "--no-gc",
         action="store_true",
         help="flush caches only at the §4.1.1 flush points instead of "
@@ -1501,8 +1492,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=["inprocess"],
         metavar="NAME",
-        help="serving lanes to compare: inprocess pool batch gateway "
-        "chaos (default: inprocess)",
+        help="serving lanes to compare: inprocess pool gateway chaos "
+        "(default: inprocess)",
     )
     fuzz_parser.add_argument(
         "--oracles",

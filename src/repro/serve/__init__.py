@@ -18,10 +18,11 @@ the way industrial flows invoke it thousands of times per run:
     retry-with-backoff policy — both measured in requests, not wall
     time, so every scenario replays deterministically.
 :mod:`repro.serve.service`
-    :class:`MinimizationService`: the synchronous front door combining
-    all of the above.  Every request returns a valid cover (heuristic
-    result or the Definition-2 identity ``g = f``) with the failure
-    reason recorded — the service never raises on a request.
+    :class:`MinimizationService`: a thin synchronous adapter adding
+    breakers and bounded retry to the pool.  Every request returns a
+    valid cover (heuristic result or the Definition-2 identity
+    ``g = f``) with the failure reason recorded — the service never
+    raises on a request.
 :mod:`repro.serve.gateway`
     :class:`MinimizationGateway`: the asyncio front door for
     concurrent load — bounded admission queue with typed load shedding

@@ -25,7 +25,7 @@ slot that a live one could use.
 
 **Deterministic counter-based hedged retries.**  Straggler latency
 (a worker descheduled, stalled, or about to be watchdog-killed) is
-hedged: an eligible request that has not answered after
+hedged: an eligible single-cell request that has not answered after
 ``delay_fraction`` of its worker budget launches one duplicate attempt
 on an *idle* worker (no idle worker — no hedge: hedging must never add
 load to a saturated pool), and the first successful outcome wins.
@@ -42,12 +42,16 @@ environment is retried patiently instead of hot-spinning respawns.
 queued and in-flight requests finish (bounded by their deadlines), and
 only then do workers shut down.
 
-The gateway speaks the wire format of :mod:`repro.bdd.wire` end to
-end: callers submit a serialized ``[f, c]`` payload and receive the
-cover back as wire bytes, so no :class:`~repro.bdd.manager.Manager` is
-ever shared across threads.  :meth:`MinimizationGateway.minimize` is
-the manager-level convenience for callers living on the event-loop
-thread.
+Every admitted request is a batch — shared instance payloads plus
+``(instance_index, method)`` cells — and
+:meth:`MinimizationGateway.submit` is a batch of one, so admission,
+shedding, breaker gating and span bookkeeping have a single
+implementation.  The gateway speaks the wire format of
+:mod:`repro.bdd.wire` end to end: callers submit serialized ``[f, c]``
+payloads and receive covers back as wire bytes, so no
+:class:`~repro.bdd.manager.Manager` is ever shared across threads;
+a caller decodes a reply into its own manager with
+:func:`repro.bdd.wire.deserialize`.
 """
 
 from __future__ import annotations
@@ -55,17 +59,14 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bdd.manager import Manager
 from repro.bdd.wire import (
     WireError,
     deserialize,
     deserialize_instance,
-    encode_batch,
     serialize,
-    serialize_instance,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs.dist import RequestSpanTracker
@@ -74,8 +75,8 @@ from repro.serve.pool import (
     DETERMINISTIC,
     TRANSIENT,
     MinimizationPool,
-    ServeResult,
     WireOutcome,
+    pack_cells,
 )
 
 #: Minimum seconds of remaining budget worth dispatching a retry for.
@@ -179,24 +180,24 @@ class GatewayReply:
 
 @dataclass
 class _Admitted:
-    """One queued request: payload, absolute expiry, caller's future."""
+    """One queued batch: instance payloads, cells, expiry, caller's future.
+
+    ``future`` resolves to a list of per-cell :class:`GatewayReply`
+    aligned with ``cells``; ``label`` names the request in spans and
+    the dispatch log (the method for a batch of one).
+    """
 
     seq: int
-    method: str
-    payload: bytes
+    label: str
+    instances: List[bytes]
+    cells: List[Tuple[int, str]]
     budget: float
     admitted_at: float
     expires_at: float
-    future: "asyncio.Future[GatewayReply]"
+    future: "asyncio.Future[List[GatewayReply]]"
     #: Root-span handle in the gateway's RequestSpanTracker; closed
     #: exactly once on every exit path (completion or typed shed).
     span: int = -1
-    #: Batch request: ``(instances, cells)`` when set — the shared
-    #: instance payloads and ``(instance_index, method)`` cells of one
-    #: batch envelope.  ``payload`` is then empty, ``method`` is the
-    #: display label, and ``future`` resolves to a *list* of per-cell
-    #: :class:`GatewayReply` aligned with ``cells``.
-    batch: Optional[Tuple[List[bytes], List[Tuple[int, str]]]] = None
 
 
 class MinimizationGateway:
@@ -220,15 +221,16 @@ class MinimizationGateway:
         Total per-request budget (queue wait + worker time) when
         ``submit`` is not given one; defaults to the pool's deadline.
     hedge:
-        Optional :class:`HedgePolicy` enabling hedged retries.
+        Optional :class:`HedgePolicy` enabling hedged retries of
+        single-cell requests.
     board:
         Optional :class:`~repro.serve.breaker.BreakerBoard`; when set,
         per-heuristic breakers gate dispatch and an open breaker
         degrades the request (typed reason, never an exception).
     retry_transient:
-        Retry a transiently failed attempt once inside the remaining
-        budget (the straggler analogue of the service's RetryPolicy —
-        budget-bounded instead of attempt-priced).
+        Retry a transiently failed single-cell attempt once inside the
+        remaining budget (the straggler analogue of the service's
+        RetryPolicy — budget-bounded instead of attempt-priced).
     probe_interval:
         Seconds between supervisor health probes (None disables the
         supervisor).  Consecutive unhealthy rounds double the interval
@@ -240,8 +242,9 @@ class MinimizationGateway:
         Monotonic clock used for queue-wait/deadline bookkeeping —
         injectable so deadline-propagation tests are exact.
     record_dispatches:
-        Keep ``dispatch_log`` of ``(seq, method, worker_deadline)``
-        per dispatched attempt (tests and drills).
+        Keep ``dispatch_log`` of ``(seq, label, worker_deadline)``
+        per dispatched attempt, where ``label`` is the method of a
+        single-cell request (tests and drills).
     """
 
     def __init__(
@@ -379,10 +382,7 @@ class MinimizationGateway:
                 item = self._queue.get_nowait()
             except asyncio.QueueEmpty:
                 break
-            self.shed_closed += 1
-            mreg = obs_metrics.active()
-            if mreg is not None:
-                mreg.inc("gateway.shed_closed")
+            self._bump("shed_closed")
             self.spans.close(
                 item.span, status="shed", shed_reason="gateway_closed"
             )
@@ -390,10 +390,7 @@ class MinimizationGateway:
                 item.future.set_exception(
                     GatewayClosed("gateway closed before dispatch")
                 )
-        self.drains += 1
-        mreg = obs_metrics.active()
-        if mreg is not None:
-            mreg.inc("gateway.drains")
+        self._bump("drains")
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
@@ -451,7 +448,7 @@ class MinimizationGateway:
         method: str = "osm_bt",
         deadline: Optional[float] = None,
     ) -> GatewayReply:
-        """Admit one wire-encoded ``[f, c]`` request.
+        """Admit one wire-encoded ``[f, c]`` request: a batch of one.
 
         Returns a :class:`GatewayReply` for every request that runs
         (including degradations).  Raises a typed
@@ -460,77 +457,37 @@ class MinimizationGateway:
         :class:`DeadlineExpired` if the budget dies in the queue,
         :class:`GatewayClosed` if the gateway shuts down first.
         """
-        if not self._started:
-            raise GatewayClosed("gateway is not started")
-        if not self._accepting:
-            raise GatewayClosed("gateway is closed to new requests")
-        budget = self.default_deadline if deadline is None else deadline
-        if budget <= 0:
-            raise ValueError("deadline must be positive")
-        now = self._clock()
-        item = _Admitted(
-            seq=self._seq,
-            method=method,
-            payload=payload,
-            budget=budget,
-            admitted_at=now,
-            expires_at=now + budget,
-            future=asyncio.get_running_loop().create_future(),
-            span=self.spans.open(seq=self._seq, method=method),
-        )
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
-            self.shed_overload += 1
-            mreg = obs_metrics.active()
-            if mreg is not None:
-                mreg.inc("gateway.shed_overload")
-            self.spans.close(
-                item.span, status="shed", shed_reason="overload"
-            )
-            raise OverloadedError(
-                "admission queue full (%d queued); request shed"
-                % self._queue.qsize(),
-                queue_depth=self._queue.qsize(),
-            ) from None
-        self._seq += 1
-        self.admitted += 1
-        self.max_queue_depth = max(self.max_queue_depth, self._queue.qsize())
-        return await item.future
+        (reply,) = await self.submit_batch([payload], [(0, method)], deadline)
+        return reply
 
     async def submit_batch(
         self,
-        instances: List[bytes],
-        cells: List[Tuple[int, str]],
+        instances: Sequence[bytes],
+        cells: Sequence[Tuple[int, str]],
         deadline: Optional[float] = None,
     ) -> List[GatewayReply]:
         """Admit one batch of ``(instance_index, method)`` cells.
 
-        The batch analogue of :meth:`submit`: ``instances`` holds each
-        distinct wire-encoded ``[f, c]`` payload once, and every cell
-        references one by index — the whole batch occupies a *single*
-        admission slot and a single worker checkout, which is the
-        sweep's admission amortization.  Returns one
-        :class:`GatewayReply` per cell, index-aligned with ``cells``;
-        each cell degrades independently (breaker-denied cells are
-        short-circuited without dispatch, failed cells carry their own
-        typed reason), so one bad cell never rejects its batch.
+        ``instances`` holds each distinct wire-encoded ``[f, c]``
+        payload once, and every cell references one by index — the
+        whole batch occupies a *single* admission slot and a single
+        worker checkout, which is the sweep's admission amortization.
+        Returns one :class:`GatewayReply` per cell, index-aligned with
+        ``cells``; each cell degrades independently (breaker-denied
+        cells are short-circuited without dispatch, failed cells carry
+        their own typed reason), so one bad cell never rejects its
+        batch.
 
-        Typed shedding is all-or-nothing at the *batch* level: the
-        batch is admitted or :class:`OverloadedError` is raised
-        immediately, and a budget that dies in the queue sheds the
-        whole batch with :class:`DeadlineExpired` — cells of a batch
-        share one end-to-end deadline.
-
-        Batches are never hedged and never retried: a batch already
-        amortizes its dispatch overhead, duplicate whole-batch attempts
-        would double worker load for one straggler cell, and per-cell
-        transient failures surface in the replies for the caller (who
-        holds every ``f``) to re-submit individually if worthwhile.
+        Typed shedding is all-or-nothing at the *batch* level, with the
+        same errors as :meth:`submit`: cells of a batch share one
+        end-to-end deadline.  Only a batch of one is hedged and retried:
+        a duplicate whole-batch attempt would double worker load for
+        one straggler cell, so per-cell transient failures of larger
+        batches surface in the replies for the caller (who holds every
+        ``f``) to re-submit individually if worthwhile.
 
         ``admitted`` counts one per batch; ``completed`` / ``degraded``
-        count cells, so gateway statistics stay cell-comparable with
-        single-cell traffic.
+        count cells.
         """
         if not self._started:
             raise GatewayClosed("gateway is not started")
@@ -548,30 +505,27 @@ class MinimizationGateway:
         if budget <= 0:
             raise ValueError("deadline must be positive")
         now = self._clock()
-        label = "batch[%d]" % len(cells)
+        label = cells[0][1] if len(cells) == 1 else "batch[%d]" % len(cells)
         item = _Admitted(
             seq=self._seq,
-            method=label,
-            payload=b"",
+            label=label,
+            instances=list(instances),
+            cells=list(cells),
             budget=budget,
             admitted_at=now,
             expires_at=now + budget,
             future=asyncio.get_running_loop().create_future(),
             span=self.spans.open(seq=self._seq, method=label),
-            batch=(list(instances), list(cells)),
         )
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
-            self.shed_overload += 1
-            mreg = obs_metrics.active()
-            if mreg is not None:
-                mreg.inc("gateway.shed_overload")
+            self._bump("shed_overload")
             self.spans.close(
                 item.span, status="shed", shed_reason="overload"
             )
             raise OverloadedError(
-                "admission queue full (%d queued); batch shed"
+                "admission queue full (%d queued); request shed"
                 % self._queue.qsize(),
                 queue_depth=self._queue.qsize(),
             ) from None
@@ -579,36 +533,6 @@ class MinimizationGateway:
         self.admitted += 1
         self.max_queue_depth = max(self.max_queue_depth, self._queue.qsize())
         return await item.future
-
-    async def minimize(
-        self,
-        manager: Manager,
-        f: int,
-        c: int,
-        method: str = "osm_bt",
-        deadline: Optional[float] = None,
-    ) -> ServeResult:
-        """Manager-level convenience around :meth:`submit`.
-
-        Must be called from the (single) thread owning ``manager`` —
-        the event-loop thread; all wire work happens there.  Typed
-        :class:`GatewayError` rejections propagate to the caller.
-        """
-        payload = serialize_instance(manager, f, c)
-        reply = await self.submit(payload, method, deadline=deadline)
-        if reply.payload is None:
-            cover = f
-        else:
-            _, roots = deserialize(reply.payload, manager=manager)
-            cover = roots[0]
-        return ServeResult(
-            method=method,
-            cover=cover,
-            reason=reply.reason,
-            kind=reply.kind,
-            runtime=reply.runtime,
-            attempts=reply.attempts,
-        )
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -643,30 +567,19 @@ class MinimizationGateway:
                         type(error).__name__,
                         error,
                     )
-                    if item.batch is not None:
-                        instances, cells = item.batch
-                        item.future.set_result(
-                            [
-                                GatewayReply(
-                                    method=method,
-                                    payload=self._fallback_payload(
-                                        instances[index]
-                                    ),
-                                    reason=reason,
-                                    kind=DETERMINISTIC,
-                                )
-                                for index, method in cells
-                            ]
-                        )
-                    else:
-                        item.future.set_result(
+                    item.future.set_result(
+                        [
                             GatewayReply(
-                                method=item.method,
-                                payload=self._fallback_payload(item.payload),
+                                method=method,
+                                payload=self._fallback_payload(
+                                    item.instances[index]
+                                ),
                                 reason=reason,
                                 kind=DETERMINISTIC,
                             )
-                        )
+                            for index, method in item.cells
+                        ]
+                    )
             finally:
                 # Idempotent backstop: _run_item closes the span on
                 # every path it owns; anything that slipped through
@@ -675,19 +588,14 @@ class MinimizationGateway:
                 self._active -= 1
 
     async def _run_item(self, item: _Admitted) -> None:
-        if item.batch is not None:
-            await self._run_batch_item(item)
-            return
+        """Dispatch one admitted batch: gate, execute, reply per cell."""
         now = self._clock()
         waited = now - item.admitted_at
         remaining = item.expires_at - now
-        mreg = obs_metrics.active()
         if remaining <= 0.0:
             # Already dead on arrival at the dispatcher: shed without
             # ever touching a worker.
-            self.shed_expired += 1
-            if mreg is not None:
-                mreg.inc("gateway.shed_expired")
+            self._bump("shed_expired")
             self.spans.close(
                 item.span,
                 status="shed",
@@ -702,251 +610,109 @@ class MinimizationGateway:
                 )
             )
             return
-        breaker = None
-        if self.board is not None:
-            breaker = self.board.breaker(item.method)
-            if not breaker.allow():
-                self.degraded += 1
-                if mreg is not None:
-                    mreg.inc("gateway.short_circuits")
-                self.spans.close(item.span, status="short_circuit")
-                item.future.set_result(
-                    GatewayReply(
-                        method=item.method,
-                        payload=self._fallback_payload(item.payload),
-                        reason="CircuitOpen: %s" % breaker.describe(),
-                        kind=TRANSIENT,
-                        attempts=0,
-                        queue_wait=waited,
-                    )
-                )
-                return
-        outcome, attempts, hedged = await self._attempts(item, remaining)
-        if breaker is not None:
-            if outcome is not None and outcome.ok:
-                breaker.record_success()
-            else:
-                breaker.record_failure()
-        runtime = self._clock() - item.admitted_at
-        if outcome is not None and outcome.ok:
-            self.completed += 1
-            if mreg is not None:
-                mreg.observe("gateway.request_latency", runtime)
-            self.spans.close(
-                item.span,
-                status="ok",
-                attempts=attempts,
-                hedged=hedged,
+        replies: List[Optional[GatewayReply]] = [None] * len(item.cells)
+        allowed: List[int] = []
+        for position, (index, method) in enumerate(item.cells):
+            breaker = self._breaker(method)
+            if breaker is None or breaker.allow():
+                allowed.append(position)
+                continue
+            self._bump("degraded", "gateway.short_circuits")
+            replies[position] = GatewayReply(
+                method=method,
+                payload=self._fallback_payload(item.instances[index]),
+                reason="CircuitOpen: %s" % breaker.describe(),
+                kind=TRANSIENT,
+                attempts=0,
+                queue_wait=waited,
             )
-            item.future.set_result(
-                GatewayReply(
-                    method=item.method,
-                    payload=outcome.payload,
-                    attempts=attempts,
-                    hedged=hedged,
-                    queue_wait=waited,
-                    worker_deadline=remaining,
-                    runtime=runtime,
-                )
-            )
+        if not allowed:
+            self.spans.close(item.span, status="short_circuit")
+            item.future.set_result(replies)
             return
-        self.degraded += 1
-        if mreg is not None:
-            mreg.inc("gateway.degraded")
-        self.spans.close(
-            item.span, status="degraded", attempts=attempts
+        outcomes, attempts, hedged = await self._attempts(
+            item, [item.cells[position] for position in allowed], remaining
         )
-        reason = (
-            outcome.reason
-            if outcome is not None and outcome.reason
-            else "GatewayError: no attempt produced an outcome"
-        )
-        item.future.set_result(
-            GatewayReply(
-                method=item.method,
-                payload=self._fallback_payload(item.payload),
-                reason=reason,
-                kind=outcome.kind if outcome is not None else TRANSIENT,
+        runtime = self._clock() - item.admitted_at
+        degraded_cells = 0
+        for position, outcome in zip(allowed, outcomes):
+            index, method = item.cells[position]
+            breaker = self._breaker(method)
+            if breaker is not None:
+                if outcome.ok:
+                    breaker.record_success()
+                else:
+                    breaker.record_failure()
+            if outcome.ok:
+                self.completed += 1
+                payload = outcome.payload
+            else:
+                self._bump("degraded")
+                degraded_cells += 1
+                payload = self._fallback_payload(item.instances[index])
+            replies[position] = GatewayReply(
+                method=method,
+                payload=payload,
+                reason=outcome.reason,
+                kind=outcome.kind,
                 attempts=attempts,
                 hedged=hedged,
                 queue_wait=waited,
                 worker_deadline=remaining,
                 runtime=runtime,
             )
-        )
-
-    async def _run_batch_item(self, item: _Admitted) -> None:
-        """Dispatch one admitted batch: gate, execute, reply per cell."""
-        now = self._clock()
-        waited = now - item.admitted_at
-        remaining = item.expires_at - now
         mreg = obs_metrics.active()
-        instances, cells = item.batch
-        if remaining <= 0.0:
-            self.shed_expired += 1
-            if mreg is not None:
-                mreg.inc("gateway.shed_expired")
-            self.spans.close(
-                item.span,
-                status="shed",
-                shed_reason="deadline_expired",
-                waited=round(waited, 6),
-            )
-            item.future.set_exception(
-                DeadlineExpired(
-                    "deadline of %.3fs expired after %.3fs in queue"
-                    % (item.budget, waited),
-                    waited=waited,
-                )
-            )
-            return
-        replies: List[Optional[GatewayReply]] = [None] * len(cells)
-        allowed: List[int] = []
-        for position, (index, method) in enumerate(cells):
-            breaker = (
-                self.board.breaker(method)
-                if self.board is not None
-                else None
-            )
-            if breaker is not None and not breaker.allow():
-                self.degraded += 1
-                if mreg is not None:
-                    mreg.inc("gateway.short_circuits")
-                replies[position] = GatewayReply(
-                    method=method,
-                    payload=self._fallback_payload(instances[index]),
-                    reason="CircuitOpen: %s" % breaker.describe(),
-                    kind=TRANSIENT,
-                    attempts=0,
-                    queue_wait=waited,
-                )
-            else:
-                allowed.append(position)
-        outcomes: List[Optional[WireOutcome]] = []
-        if allowed:
-            # Re-index so the envelope carries only the instances its
-            # dispatched cells reference (breaker-denied cells may
-            # have been the only users of theirs).
-            local_ids: Dict[int, int] = {}
-            local_instances: List[bytes] = []
-            local_cells: List[Tuple[int, str]] = []
-            for position in allowed:
-                index, method = cells[position]
-                local = local_ids.get(index)
-                if local is None:
-                    local = len(local_instances)
-                    local_ids[index] = local
-                    local_instances.append(instances[index])
-                local_cells.append((local, method))
-            envelope = encode_batch(local_instances, local_cells)
-            if self.dispatch_log is not None:
-                self.dispatch_log.append((item.seq, item.method, remaining))
-            outcomes = await asyncio.get_running_loop().run_in_executor(
-                self._executor,
-                self._attempt_batch,
-                envelope,
-                [cells[position][1] for position in allowed],
-                remaining,
-                [instances[cells[position][0]] for position in allowed],
-            )
-        runtime = self._clock() - item.admitted_at
-        degraded_cells = 0
-        for position, outcome in zip(allowed, outcomes):
-            index, method = cells[position]
-            breaker = (
-                self.board.breaker(method)
-                if self.board is not None
-                else None
-            )
-            ok = outcome is not None and outcome.ok
-            if breaker is not None:
-                if ok:
-                    breaker.record_success()
-                else:
-                    breaker.record_failure()
-            if ok:
-                self.completed += 1
-                replies[position] = GatewayReply(
-                    method=method,
-                    payload=outcome.payload,
-                    queue_wait=waited,
-                    worker_deadline=remaining,
-                    runtime=outcome.runtime,
-                )
-            else:
-                self.degraded += 1
-                degraded_cells += 1
-                if mreg is not None:
-                    mreg.inc("gateway.degraded")
-                replies[position] = GatewayReply(
-                    method=method,
-                    payload=self._fallback_payload(instances[index]),
-                    reason=(
-                        outcome.reason
-                        if outcome is not None and outcome.reason
-                        else "GatewayError: no attempt produced an outcome"
-                    ),
-                    kind=outcome.kind if outcome is not None else TRANSIENT,
-                    queue_wait=waited,
-                    worker_deadline=remaining,
-                    runtime=outcome.runtime if outcome is not None else 0.0,
-                )
         if mreg is not None:
             mreg.observe("gateway.request_latency", runtime)
         self.spans.close(
             item.span,
             status="ok" if degraded_cells == 0 else "degraded",
-            cells=len(cells),
+            attempts=attempts,
+            hedged=hedged,
+            cells=len(item.cells),
             degraded_cells=degraded_cells,
         )
         item.future.set_result(replies)
 
-    def _attempt_batch(
-        self,
-        envelope: bytes,
-        methods: List[str],
-        worker_deadline: float,
-        instance_payloads: List[bytes],
-    ) -> List[Optional[WireOutcome]]:
-        """One batch pool attempt (executor thread; wire-level only)."""
-        try:
-            outcomes = self.pool.execute_batch(
-                envelope, methods, deadline=worker_deadline
-            )
-        except RuntimeError as error:
-            failure = WireOutcome(
-                status="failed",
-                reason="PoolClosed: %s" % error,
-                kind=TRANSIENT,
-            )
-            return [failure] * len(methods)
-        if not self.verify:
-            return list(outcomes)
-        return [
-            self._verify_outcome(payload, method, outcome)
-            for payload, method, outcome in zip(
-                instance_payloads, methods, outcomes
-            )
-        ]
+    def _breaker(self, method: str):
+        return None if self.board is None else self.board.breaker(method)
+
+    def _bump(
+        self, counter: str, metric: Optional[str] = None, amount: int = 1
+    ) -> None:
+        """Advance a gateway counter and its metric (by default
+        ``gateway.<counter>``)."""
+        setattr(self, counter, getattr(self, counter) + amount)
+        mreg = obs_metrics.active()
+        if mreg is not None:
+            mreg.inc(metric or "gateway." + counter, amount)
 
     async def _attempts(
-        self, item: _Admitted, remaining: float
-    ) -> Tuple[Optional[WireOutcome], int, bool]:
-        """Primary attempt + optional hedge + optional budget retry."""
+        self,
+        item: _Admitted,
+        cells: List[Tuple[int, str]],
+        remaining: float,
+    ) -> Tuple[List[WireOutcome], int, bool]:
+        """Primary attempt; a batch of one also gets an optional hedge
+        and an optional budget retry."""
         loop = asyncio.get_running_loop()
-        if self.dispatch_log is not None:
-            self.dispatch_log.append((item.seq, item.method, remaining))
-        primary = loop.run_in_executor(
-            self._executor,
-            self._attempt,
-            item.payload,
-            item.method,
-            remaining,
-            True,
-        )
-        hedged = False
+
+        def attempt(budget: float, block: bool = True):
+            if self.dispatch_log is not None:
+                self.dispatch_log.append((item.seq, item.label, budget))
+            return loop.run_in_executor(
+                self._executor,
+                self._attempt,
+                item.instances,
+                cells,
+                budget,
+                block,
+            )
+
+        primary = attempt(remaining)
+        if len(item.cells) > 1:
+            return await primary, 1, False
         attempts = 1
-        outcome: Optional[WireOutcome] = None
         hedge_task = None
         if (
             self.hedge is not None
@@ -955,116 +721,110 @@ class MinimizationGateway:
         ):
             delay = remaining * self.hedge.delay_fraction
             done, _ = await asyncio.wait({primary}, timeout=delay)
-            if not done:
-                hedge_budget = item.expires_at - self._clock()
-                if hedge_budget > self.hedge.min_remaining:
-                    self.hedges += 1
-                    hedged = True
-                    attempts += 1
-                    mreg = obs_metrics.active()
-                    if mreg is not None:
-                        mreg.inc("gateway.hedges")
-                    if self.dispatch_log is not None:
-                        self.dispatch_log.append(
-                            (item.seq, item.method, hedge_budget)
-                        )
-                    hedge_task = loop.run_in_executor(
-                        self._executor,
-                        self._attempt,
-                        item.payload,
-                        item.method,
-                        hedge_budget,
-                        False,  # idle worker only: never add load
-                    )
+            hedge_budget = item.expires_at - self._clock()
+            if not done and hedge_budget > self.hedge.min_remaining:
+                self._bump("hedges")
+                attempts += 1
+                # Idle worker only: a hedge must never add load.
+                hedge_task = attempt(hedge_budget, block=False)
         if hedge_task is None:
-            outcome = await primary
+            outcomes = await primary
         else:
-            outcome = await self._first_success(primary, hedge_task)
+            outcomes = await self._first_success(primary, hedge_task)
+        (outcome,) = outcomes
+        retry_budget = item.expires_at - self._clock()
         if (
-            outcome is not None
-            and not outcome.ok
+            not outcome.ok
             and outcome.kind == TRANSIENT
             and self.retry_transient
-        ):
-            retry_budget = item.expires_at - self._clock()
-            if retry_budget > max(
+            and retry_budget
+            > max(
                 MIN_RETRY_REMAINING,
                 self.hedge.min_remaining if self.hedge else 0.0,
-            ):
-                self.retries += 1
-                attempts += 1
-                mreg = obs_metrics.active()
-                if mreg is not None:
-                    mreg.inc("gateway.retries")
-                if self.dispatch_log is not None:
-                    self.dispatch_log.append(
-                        (item.seq, item.method, retry_budget)
-                    )
-                retried = await loop.run_in_executor(
-                    self._executor,
-                    self._attempt,
-                    item.payload,
-                    item.method,
-                    retry_budget,
-                    True,
-                )
-                if retried is not None and retried.ok:
-                    outcome = retried
-        return outcome, attempts, hedged
+            )
+        ):
+            self._bump("retries")
+            attempts += 1
+            retried = await attempt(retry_budget)
+            if retried[0].ok:
+                outcomes = retried
+        return outcomes, attempts, hedge_task is not None
 
     async def _first_success(self, primary, hedge):
-        """First successful outcome wins; losers still complete (each
+        """First successful attempt wins; losers still complete (each
         is bounded by its own worker deadline) before we give up."""
-        self_hedge = hedge
         pending = {primary, hedge}
-        fallback: Optional[WireOutcome] = None
+        fallback = None
         while pending:
             done, pending = await asyncio.wait(
                 pending, return_when=asyncio.FIRST_COMPLETED
             )
             for future in done:
-                outcome = future.result()
-                if outcome is None:
+                outcomes = future.result()
+                if outcomes is None:
                     # Hedge found no idle worker and stood down.
                     continue
-                if outcome.ok:
-                    if future is self_hedge:
-                        self.hedge_wins += 1
-                        mreg = obs_metrics.active()
-                        if mreg is not None:
-                            mreg.inc("gateway.hedge_wins")
-                    return outcome
+                if outcomes[0].ok:
+                    if future is hedge:
+                        self._bump("hedge_wins")
+                    return outcomes
                 if fallback is None:
-                    fallback = outcome
+                    fallback = outcomes
         return fallback
 
     def _attempt(
-        self, payload: bytes, method: str, worker_deadline: float, block: bool
-    ) -> Optional[WireOutcome]:
-        """One pool attempt (executor thread; wire-level only)."""
+        self,
+        instances: List[bytes],
+        cells: List[Tuple[int, str]],
+        worker_deadline: float,
+        block: bool,
+    ) -> Optional[List[WireOutcome]]:
+        """One pool attempt (executor thread; wire-level only).
+
+        Returns ``None`` iff ``block=False`` and no worker was idle.
+        """
         try:
-            outcome = self.pool.execute(
-                payload, method, deadline=worker_deadline, block=block
-            )
+            if len(cells) == 1:
+                # A batch of one goes through the pool's single-cell
+                # entry point, :meth:`MinimizationPool.execute`.
+                ((index, method),) = cells
+                outcome = self.pool.execute(
+                    instances[index],
+                    method,
+                    deadline=worker_deadline,
+                    block=block,
+                )
+                outcomes = None if outcome is None else [outcome]
+            else:
+                outcomes = self.pool.execute_batch(
+                    pack_cells(instances, cells),
+                    [method for _, method in cells],
+                    deadline=worker_deadline,
+                    block=block,
+                )
         except RuntimeError as error:
-            return WireOutcome(
+            failure = WireOutcome(
                 status="failed",
                 reason="PoolClosed: %s" % error,
                 kind=TRANSIENT,
             )
-        if not self.verify:
-            return outcome
-        return self._verify_outcome(payload, method, outcome)
+            return [failure] * len(cells)
+        if outcomes is None or not self.verify:
+            return outcomes
+        return [
+            self._verify_outcome(instances[index], method, outcome)
+            for (index, method), outcome in zip(cells, outcomes)
+        ]
 
     def _verify_outcome(
         self,
         payload: bytes,
         method: str,
-        outcome: Optional[WireOutcome],
-    ) -> Optional[WireOutcome]:
+        outcome: WireOutcome,
+    ) -> WireOutcome:
         """Never trust a worker: re-verify the cover in a scratch
         manager (never the caller's — managers are single-threaded)."""
-        if outcome is None or not outcome.ok:
+        if not outcome.ok:
             return outcome
         try:
             scratch, f, c = deserialize_instance(payload)
@@ -1120,16 +880,9 @@ class MinimizationGateway:
             report = await loop.run_in_executor(
                 self._executor, self.pool.probe, self.probe_timeout
             )
-            self.probe_rounds += 1
-            mreg = obs_metrics.active()
-            if mreg is not None:
-                mreg.inc("gateway.probe_rounds")
+            self._bump("probe_rounds")
             if report["replaced"]:
-                self.supervisor_restarts += report["replaced"]
-                if mreg is not None:
-                    mreg.inc(
-                        "gateway.supervisor_restarts", report["replaced"]
-                    )
+                self._bump("supervisor_restarts", amount=report["replaced"])
                 # A freshly restarted worker that dies again by the
                 # next probe means the environment is unhealthy —
                 # back off (capped) instead of hot-spinning respawns.

@@ -13,22 +13,20 @@ running every request in a **child process** under two OS-level fences:
   worker start, so a memory hog dies with ``MemoryError`` (or an
   OOM kill) inside its own process instead of taking down the sweep.
 
-Requests and results cross the process boundary in the durable wire
-format of :mod:`repro.bdd.wire`; the child rebuilds the instance in a
-**warm, resident manager** (:class:`_WarmHost` — persisting across
-requests, collected between cells, compacted past a node watermark),
-runs the registry heuristic, verifies the cover, and ships the result
-back.  Cells can travel individually (:meth:`MinimizationPool.execute`)
-or packed into batch envelopes with a shared-instance table
-(:meth:`MinimizationPool.execute_batch`) — one worker checkout per
-batch, per-cell streamed outcomes, so per-request dispatch overhead is
-amortized across the sweep's many tiny cells.  On *any* failure —
-timeout, OOM, crash, budget trip, contract violation — the affected
-cell (and only that cell) degrades to the identity cover
-``g = f`` (always correct per Definition 2) with the reason recorded,
-following the same reason-recording protocol as
-:class:`repro.robust.guard.GuardedHeuristic` (``failures``,
-``last_failure``, ``on_failure``).
+There is one dispatch path.  Every request is a batch envelope
+(:func:`repro.bdd.wire.encode_batch`): a shared-instance table plus
+``(instance_index, method)`` cells, sent to one worker checkout by
+:meth:`MinimizationPool.execute_batch`.  A single cell is a batch of
+one (:meth:`MinimizationPool.execute`).  The child decodes each shared
+instance once into a **warm, resident manager** (:class:`_WarmHost` —
+persisting across requests, collected between cells, compacted past a
+node watermark), runs the registry heuristic, verifies the cover, and
+streams one reply per cell back.  On *any* failure — timeout, OOM,
+crash, budget trip, contract violation — the affected cell (and only
+that cell) degrades to the identity cover ``g = f`` (always correct per
+Definition 2) with the reason recorded, following the same
+reason-recording protocol as :class:`repro.robust.guard.GuardedHeuristic`
+(``failures``, ``last_failure``, ``on_failure``).
 
 Failures are classified for the circuit breaker / retry layer
 (:mod:`repro.serve.breaker`), mirroring the guard's split:
@@ -45,12 +43,12 @@ Workers live on a checked-out/checked-in free list guarded by one
 condition variable, so the pool is safe to drive from **multiple
 threads at once** — the asyncio gateway's dispatcher threads
 (:mod:`repro.serve.gateway`), the chaos harness and a sweep can share
-one pool.  :meth:`MinimizationPool.execute` is the thread-safe,
-wire-level primitive (bytes in, :class:`WireOutcome` out; it never
-touches a caller manager); :meth:`run_batch` and :meth:`minimize` are
-built on top of it and do all caller-manager decoding in the calling
-thread, so a :class:`~repro.bdd.manager.Manager` is never shared
-across threads by this module.
+one pool.  :meth:`MinimizationPool.execute_batch` is the thread-safe,
+wire-level primitive (bytes in, :class:`WireOutcome` objects out; it
+never touches a caller manager); :meth:`run_batch` and :meth:`minimize`
+are built on top of it and do all caller-manager encoding and decoding
+in the calling thread, so a :class:`~repro.bdd.manager.Manager` is
+never shared across threads by this module.
 
 Custom heuristics must be resolvable *in the child*.  With the default
 ``fork`` start method, anything registered via
@@ -77,6 +75,7 @@ from repro.analysis.errors import (
     DeadlineExceeded,
     InvariantError,
 )
+from repro.bdd.cover import is_def2_cover
 from repro.bdd.manager import Manager
 from repro.bdd.wire import (
     WireError,
@@ -279,16 +278,6 @@ class _WarmHost:
         self.manager = None
 
 
-def _cell_stats(
-    stats_before: Optional[Dict[str, int]], manager: Manager
-) -> Dict[str, int]:
-    """Per-cell statistics delta against the cell-start snapshot."""
-    after = manager.statistics()
-    if stats_before is None:
-        return after
-    return obs_metrics.diff_statistics(stats_before, after)
-
-
 class _CellAlarm:
     """Per-cell wall-clock deadline via ``SIGALRM``/``setitimer``.
 
@@ -351,31 +340,105 @@ class _CellAlarm:
 _ALARM = _CellAlarm()
 
 
+class _SharedInstances:
+    """A batch's shared instances, decoded lazily onto the warm manager.
+
+    Decode and manager-build cost is paid once per *instance*, not once
+    per cell.  Cached ``[f, c]`` refs belong to the manager they were
+    built in: when the host poisons or swaps its manager they are
+    dropped and rebuilt on demand.  An instance that fails to decode
+    stays failed for the rest of the batch, without re-parsing.
+    """
+
+    __slots__ = ("payloads", "host", "manager", "refs", "errors")
+
+    def __init__(self, payloads: Sequence[bytes], host: _WarmHost):
+        self.payloads = payloads
+        self.host = host
+        self.manager: Optional[Manager] = None
+        self.refs: Dict[int, List[int]] = {}
+        self.errors: Dict[int, str] = {}
+
+    def _drop_stale(self, manager: Optional[Manager]) -> None:
+        if manager is not self.manager:
+            self.refs.clear()
+            self.manager = manager
+
+    def load(self, index: int, clock: PhaseClock):
+        """``(manager, [f, c], stats_before)`` for instance ``index``.
+
+        ``stats_before`` is the cell-start statistics snapshot, taken
+        before a first decode so the decode's nodes count toward the
+        cell.  Raises :class:`WireError` for an undecodable instance.
+        """
+        if index in self.errors:
+            raise WireError(self.errors[index])
+        self._drop_stale(self.host.manager)
+        refs = self.refs.get(index)
+        if refs is not None:
+            return self.manager, refs, self.manager.statistics()
+        try:
+            with clock.phase("worker.decode"):
+                parsed = parse_payload(self.payloads[index])
+            with clock.phase("worker.manager"):
+                manager = self.host.acquire(parsed.names)
+                self._drop_stale(manager)
+                stats_before = manager.statistics()
+                _, roots = build_parsed(parsed, manager)
+            if len(roots) != 2:
+                raise WireError(
+                    "instance payload must carry exactly 2 roots "
+                    "[f, c], got %d" % len(roots)
+                )
+        except WireError as error:
+            self.errors[index] = str(error)
+            raise
+        refs = self.refs[index] = list(roots)
+        return manager, refs, stats_before
+
+    def live(self) -> List[int]:
+        """Every cached ref: roots for the between-cell collection."""
+        return [ref for refs in self.refs.values() for ref in refs]
+
+    def remap(self, remap) -> None:
+        """Translate every cached ref after a compacting collection."""
+        for refs in self.refs.values():
+            refs[:] = [remap(ref) for ref in refs]
+
+
 def _run_cell(
-    manager: Manager,
-    host: _WarmHost,
-    f: int,
-    c: int,
-    method: str,
     request: dict,
     clock: PhaseClock,
-    stats_before: Optional[Dict[str, int]],
-    started: float,
-    extra_roots: Sequence[int] = (),
-    on_remap=None,
+    host: _WarmHost,
+    shared: _SharedInstances,
+    index: int,
+    method: str,
 ) -> dict:
-    """Run one decoded cell on the warm manager; never raises.
+    """Decode (or reuse) a cell's shared instance and run the cell on
+    the warm manager; never raises.
 
-    ``extra_roots`` keeps the batch's shared instance refs alive across
-    the between-cell collection; when that collection compacts,
-    ``on_remap`` lets the batch loop translate its cached refs.  Even a
-    failed cell ships its counters home (the journals can then explain
-    *why* it degraded, e.g. nodes created right up against the budget).
+    Even a failed cell ships its statistics delta home (the journals
+    can then explain *why* it degraded, e.g. nodes created right up
+    against the budget).
     """
     from repro.core.ispec import ISpec
     from repro.core.registry import HEURISTICS
     from repro.robust.governor import Budget, governed
     from repro.robust.guard import describe_error
+
+    started = time.perf_counter()
+    try:
+        manager, (f, c), stats_before = shared.load(index, clock)
+    except WireError as error:
+        return {
+            "status": "failed",
+            "reason": "WireError: %s" % error,
+            "kind": DETERMINISTIC,
+            "runtime": time.perf_counter() - started,
+        }
+
+    def stats() -> Dict[str, int]:
+        return obs_metrics.diff_statistics(stats_before, manager.statistics())
 
     def failed(reason: str, kind: str) -> dict:
         return {
@@ -383,7 +446,7 @@ def _run_cell(
             "reason": reason,
             "kind": kind,
             "runtime": time.perf_counter() - started,
-            "stats": _cell_stats(stats_before, manager),
+            "stats": stats(),
         }
 
     heuristic = HEURISTICS.get(method)
@@ -423,11 +486,10 @@ def _run_cell(
         # emits canonically, so a remapped ref serializes to the same
         # bytes the uncollected one would.
         with clock.phase("worker.gc"):
-            remap = host.settle(tuple(extra_roots) + (cover,))
+            remap = host.settle(shared.live() + [cover])
             if remap is not None:
                 cover = remap(cover)
-                if on_remap is not None:
-                    on_remap(remap)
+                shared.remap(remap)
         with clock.phase("worker.encode"):
             payload = serialize(manager, (cover,))
     except DeadlineExceeded as error:
@@ -466,206 +528,43 @@ def _run_cell(
         "status": "ok",
         "payload": payload,
         "runtime": time.perf_counter() - started,
-        "stats": _cell_stats(stats_before, manager),
+        "stats": stats(),
     }
 
 
-def _execute_request(request: dict, host: _WarmHost) -> dict:
-    """Run one single-cell request inside the worker; never raises.
-
-    Returns a reply dict: ``status`` is ``"ok"`` (with a wire-encoded
-    cover in ``payload``) or ``"failed"`` (with ``reason`` and a
-    transient/deterministic ``kind``).  Either way the reply carries a
-    ``phases`` dict — worker-side wall time split into decode /
-    manager-build / compute / gc / encode — and, when the request
-    envelope carries a trace context, a ``spans`` bundle: the worker's
-    full span buffer (phases plus every library span the heuristic
-    emitted), recorded on a request-private tracer and shipped home
-    for re-parenting under the request's dispatch span.
-    """
-    started = time.perf_counter()
-    context = request.get("trace")
-    bundle_tracer = None
-    request_span = obs_trace._NULL_SPAN
-    if context is not None and context.get("detail", True):
-        # A fresh, request-scoped tracer: span timestamps are relative
-        # to *this* request's start, which is exactly the shape the
-        # merger's logical-clock rebasing expects.  Only requests the
-        # pool sampled for detail record (and ship) real spans —
-        # phase spans for the rest are synthesized pool-side from the
-        # ``phases`` durations below, which keeps tracing overhead on
-        # sub-millisecond requests near zero.
-        bundle_tracer = obs_trace.activate(obs_trace.Tracer())
-        request_span = bundle_tracer.span(
-            "worker.request",
-            seq=context["seq"],
-            trace_id=context["trace_id"],
-            parent=context["parent_span"],
-        )
-    clock = PhaseClock(tracer=bundle_tracer)
+def _send(conn, message: dict) -> bool:
+    """Ship one reply; False when the pipe is gone."""
     try:
-        with request_span:
-            reply = _serve_request(request, clock, host)
-    finally:
-        if bundle_tracer is not None:
-            obs_trace.deactivate()
-    phases = dict(clock.durations)
-    phases["worker.request"] = time.perf_counter() - started
-    reply["phases"] = phases
-    if bundle_tracer is not None:
-        reply["spans"] = bundle_tracer.events
-    return reply
+        conn.send(message)
+    except (BrokenPipeError, OSError):
+        return False
+    return True
 
 
-def _serve_request(request: dict, clock: PhaseClock, host: _WarmHost) -> dict:
-    """The phase pipeline of :func:`_execute_request`."""
-    method = request["method"]
-    started = time.perf_counter()
-    try:
-        with clock.phase("worker.decode"):
-            parsed = parse_payload(request["payload"])
-        with clock.phase("worker.manager"):
-            manager = host.acquire(parsed.names)
-            stats_before = manager.statistics()
-            _, roots = build_parsed(parsed, manager)
-    except WireError as error:
-        return {
-            "status": "failed",
-            "reason": "WireError: %s" % error,
-            "kind": DETERMINISTIC,
-            "runtime": time.perf_counter() - started,
-        }
-    if len(roots) != 2:
-        return {
-            "status": "failed",
-            "reason": "WireError: instance payload must carry exactly "
-            "2 roots [f, c], got %d" % len(roots),
-            "kind": DETERMINISTIC,
-            "runtime": time.perf_counter() - started,
-            "stats": _cell_stats(stats_before, manager),
-        }
-    f, c = roots
-    return _run_cell(
-        manager, host, f, c, method, request, clock, stats_before, started
-    )
-
-
-def _serve_batch_cell(
-    request: dict,
-    clock: PhaseClock,
-    host: _WarmHost,
-    envelope,
-    instances: Dict[int, Optional[List[int]]],
-    reasons: Dict[int, str],
-    instance_index: int,
-    method: str,
-) -> dict:
-    """Decode (or reuse) a cell's shared instance, then run the cell.
-
-    ``instances`` caches each shared instance's decoded ``[f, c]`` refs
-    for the batch — decode and manager-build cost is paid once per
-    *instance*, not once per cell, which is the batched path's main
-    encode/decode saving.  ``None`` entries are tombstones for
-    instances that already failed to decode (every later cell on them
-    fails with the recorded reason, without re-parsing).
-    """
-    started = time.perf_counter()
-    if host.manager is None:
-        # A previous cell poisoned the resident manager: every cached
-        # ref belongs to the dropped manager, so force lazy re-decode
-        # (tombstones survive — an undecodable payload stays one).
-        for key in [k for k, v in instances.items() if v is not None]:
-            del instances[key]
-    if instance_index in instances and instances[instance_index] is None:
-        return {
-            "status": "failed",
-            "reason": reasons[instance_index],
-            "kind": DETERMINISTIC,
-            "runtime": time.perf_counter() - started,
-        }
-    cached = instances.get(instance_index)
-    if cached is None:
-        previous = host.manager
-        try:
-            with clock.phase("worker.decode"):
-                parsed = parse_payload(envelope.instances[instance_index])
-            with clock.phase("worker.manager"):
-                manager = host.acquire(parsed.names)
-                if manager is not previous:
-                    # Universe switch mid-batch: cached refs belong to
-                    # the replaced manager — drop them for re-decode.
-                    for key in [
-                        k for k, v in instances.items() if v is not None
-                    ]:
-                        del instances[key]
-                stats_before = manager.statistics()
-                _, roots = build_parsed(parsed, manager)
-            if len(roots) != 2:
-                raise WireError(
-                    "instance payload must carry exactly 2 roots "
-                    "[f, c], got %d" % len(roots)
-                )
-        except WireError as error:
-            reasons[instance_index] = "WireError: %s" % error
-            instances[instance_index] = None
-            return {
-                "status": "failed",
-                "reason": reasons[instance_index],
-                "kind": DETERMINISTIC,
-                "runtime": time.perf_counter() - started,
-            }
-        cached = list(roots)
-        instances[instance_index] = cached
-    else:
-        manager = host.manager
-        stats_before = manager.statistics()
-    f, c = cached
-    live = [
-        ref
-        for entry in instances.values()
-        if entry is not None
-        for ref in entry
-    ]
-
-    def on_remap(remap) -> None:
-        for entry in instances.values():
-            if entry is not None:
-                entry[0] = remap(entry[0])
-                entry[1] = remap(entry[1])
-
-    return _run_cell(
-        manager,
-        host,
-        f,
-        c,
-        method,
-        request,
-        clock,
-        stats_before,
-        started,
-        extra_roots=live,
-        on_remap=on_remap,
-    )
-
-
-def _execute_batch(request: dict, conn, host: _WarmHost) -> bool:
+def _serve_batch(request: dict, conn, host: _WarmHost) -> bool:
     """Run one batch inside the worker, streaming per-cell replies.
 
     Sends one ``{"cell": i, ...}`` reply the moment each cell finishes
     — the parent resets its watchdog window per cell and keeps every
     streamed result even when a later cell hangs and gets this worker
-    killed — followed by one ``{"status": "batch_done"}`` trailer
-    carrying the batch's accumulated phase durations, warm-host
-    counters and (when sampled for detail) the span bundle.  An
-    undecodable envelope sends a single terminal
-    ``{"status": "batch_error"}`` instead.  Returns ``False`` when the
-    pipe died (the worker exits its serve loop).
+    killed.  The last reply is marked ``done`` and carries the batch's
+    accumulated phase durations, warm-host counters and (when sampled
+    for detail) the span bundle.  An undecodable envelope gets a single
+    ``done`` reply with status ``batch_error`` instead.  Returns
+    ``False`` when the pipe died (the worker exits its serve loop).
     """
     started = time.perf_counter()
     context = request.get("trace")
     bundle_tracer = None
     batch_span = obs_trace._NULL_SPAN
     if context is not None and context.get("detail", True):
+        # A fresh, request-scoped tracer: span timestamps are relative
+        # to *this* request's start, which is exactly the shape the
+        # merger's logical-clock rebasing expects.  Only requests the
+        # pool sampled for detail record (and ship) real spans — phase
+        # spans for the rest are synthesized pool-side from the
+        # ``phases`` durations, which keeps tracing overhead on
+        # sub-millisecond requests near zero.
         bundle_tracer = obs_trace.activate(obs_trace.Tracer())
         batch_span = bundle_tracer.span(
             "worker.request",
@@ -674,75 +573,42 @@ def _execute_batch(request: dict, conn, host: _WarmHost) -> bool:
             parent=context["parent_span"],
         )
     clock = PhaseClock(tracer=bundle_tracer)
-    pipe_ok = True
-    error_reply: Optional[dict] = None
     try:
         with batch_span:
             try:
                 with clock.phase("worker.decode"):
                     envelope = decode_batch(request["batch"])
             except WireError as error:
-                error_reply = {
+                last = {
                     "status": "batch_error",
                     "reason": "WireError: %s" % error,
                     "kind": DETERMINISTIC,
                 }
             else:
-                instances: Dict[int, Optional[List[int]]] = {}
-                reasons: Dict[int, str] = {}
-                for position, (instance_index, method) in enumerate(
-                    envelope.cells
-                ):
-                    reply = _serve_batch_cell(
-                        request,
-                        clock,
-                        host,
-                        envelope,
-                        instances,
-                        reasons,
-                        instance_index,
-                        method,
+                shared = _SharedInstances(envelope.instances, host)
+                final = len(envelope.cells) - 1
+                for position, (index, method) in enumerate(envelope.cells):
+                    last = _run_cell(
+                        request, clock, host, shared, index, method
                     )
-                    reply["cell"] = position
-                    try:
-                        conn.send(reply)
-                    except (BrokenPipeError, OSError):
-                        pipe_ok = False
-                        break
+                    last["cell"] = position
+                    if position < final and not _send(conn, last):
+                        return False
     finally:
         if bundle_tracer is not None:
             obs_trace.deactivate()
-    if not pipe_ok:
-        return False
-    if error_reply is not None:
-        try:
-            conn.send(error_reply)
-        except (BrokenPipeError, OSError):
-            return False
-        return True
-    # Nothing survives a batch: drop the shared instances so the next
-    # request's between-cell collection reclaims them.
     phases = dict(clock.durations)
     phases["worker.request"] = time.perf_counter() - started
-    trailer = {
-        "status": "batch_done",
-        "phases": phases,
-        "warm": {
-            "resets": host.resets,
-            "compactions": host.compactions,
-        },
-    }
+    last["done"] = True
+    last["phases"] = phases
+    last["warm"] = {"resets": host.resets, "compactions": host.compactions}
     if bundle_tracer is not None:
-        trailer["spans"] = bundle_tracer.events
-    try:
-        conn.send(trailer)
-    except (BrokenPipeError, OSError):
-        return False
-    return True
+        last["spans"] = bundle_tracer.events
+    return _send(conn, last)
 
 
 def _worker_main(conn, memory_limit: Optional[int]) -> None:
-    """Worker process entry: serve requests until the sentinel."""
+    """Worker process entry: serve batches until the sentinel."""
     _apply_memory_limit(memory_limit)
     # Under ``fork`` the child inherits the parent's active tracer.
     # Recording into that copy is pure waste — the events can never
@@ -757,26 +623,15 @@ def _worker_main(conn, memory_limit: Optional[int]) -> None:
             break
         if request is None:
             break
-        if isinstance(request, dict) and "ping" in request:
+        if "ping" in request:
             # Health probe from the supervisor: echo the token back.
             # Kept trivially cheap so a probe never competes with work.
-            try:
-                conn.send({"pong": request["ping"]})
-            except (BrokenPipeError, OSError):  # pragma: no cover
+            if not _send(conn, {"pong": request["ping"]}):
                 break
             continue
-        if isinstance(request, dict):
-            watermark = request.get("watermark")
-            if watermark is not None:
-                host.watermark = watermark
-        if isinstance(request, dict) and "batch" in request:
-            if not _execute_batch(request, conn, host):
-                break
-            continue
-        reply = _execute_request(request, host)
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):  # pragma: no cover - races
+        if request.get("watermark") is not None:
+            host.watermark = request["watermark"]
+        if not _serve_batch(request, conn, host):
             break
     conn.close()
 
@@ -834,6 +689,28 @@ class _Worker:
             self.conn.close()
 
 
+#: Pool counter and metric a lost worker is booked under, by cause.
+_LOSSES = {
+    "kills": "serve.watchdog_kills",
+    "crashes": "serve.worker_crashes",
+    "probe_failures": "serve.probe_failures",
+}
+
+
+def pack_cells(
+    instances: Sequence[bytes], cells: Sequence[Tuple[int, str]]
+) -> bytes:
+    """Encode ``(instance_index, method)`` cells into a batch envelope
+    carrying only the ``instances`` they reference, in first-use order."""
+    local: Dict[int, int] = {}
+    for index, _ in cells:
+        local.setdefault(index, len(local))
+    return encode_batch(
+        [instances[index] for index in local],
+        [(local[index], method) for index, method in cells],
+    )
+
+
 class MinimizationPool:
     """A fixed-size pool of process-isolated minimization workers.
 
@@ -842,14 +719,14 @@ class MinimizationPool:
     workers:
         Number of child processes kept warm.
     deadline:
-        Default wall-clock seconds per request.  The child runs under a
-        cooperative deadline governor at this value; the parent's
-        watchdog SIGKILLs ``kill_grace`` seconds later if the child has
-        not answered.
+        Default wall-clock seconds per cell.  The child runs each cell
+        under an interval-timer (or cooperative governor) deadline at
+        this value; the parent's watchdog SIGKILLs ``kill_grace``
+        seconds later if the child has not answered.
     memory_limit:
         Optional address-space cap in bytes applied at worker start.
     node_budget / step_budget:
-        Optional per-request governor bounds enforced inside the child.
+        Optional per-cell governor bounds enforced inside the child.
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (inherits the parent's registry, including
@@ -858,15 +735,16 @@ class MinimizationPool:
         Re-check returned covers in the parent (two BDD operations) —
         the child already verifies, but the parent does not have to
         trust a worker that may have corrupted itself.  Applies to the
-        manager-level APIs (:meth:`minimize` / :meth:`run_batch`); the
-        wire-level :meth:`execute` leaves verification to its caller.
+        manager-level APIs (:meth:`minimize` / :meth:`run_batch` /
+        :meth:`decode_outcome`); the wire-level :meth:`execute_batch`
+        leaves verification to its caller.
     on_failure:
         Optional ``(method, reason)`` callback invoked on every
         degradation — the same protocol as
         :class:`repro.robust.guard.GuardedHeuristic`.  May be invoked
         from a dispatcher thread when the pool is driven concurrently.
     recycle_after:
-        Optional request count after which an idle worker is gracefully
+        Optional dispatch count after which an idle worker is gracefully
         stopped and replaced by a fresh one.  Warm worker managers are
         collected between cells (and compacted past the node
         watermark); recycling additionally returns any
@@ -919,9 +797,8 @@ class MinimizationPool:
         self.recycle_after = recycle_after
         self.node_watermark = node_watermark
         # Reason-recording protocol (mirrors GuardedHeuristic).
-        # ``requests`` counts *cells* — a batch of N increments it by N
-        # — so sweep records stay comparable across batched and
-        # unbatched runs; ``batches`` counts batch dispatches.
+        # ``requests`` counts *cells* — a batch of N increments it by N;
+        # ``batches`` counts worker dispatches.
         self.requests = 0
         self.batches = 0
         self.failures = 0
@@ -932,9 +809,9 @@ class MinimizationPool:
         self.worker_restarts = 0
         self.recycles = 0
         self.probe_failures = 0
-        # Warm-host counters from batch trailers, keyed by worker pid.
-        # Each trailer carries the host's *cumulative* counts, so the
-        # latest trailer per pid is the truth for that worker.
+        # Warm-host counters from each batch's last reply, keyed by
+        # worker pid.  Each carries the host's *cumulative* counts, so
+        # the latest one per pid is the truth for that worker.
         self._warm: Dict[int, Dict[str, int]] = {}
         self._closed = False
         self._probe_token = 0
@@ -1013,10 +890,9 @@ class MinimizationPool:
         """Health counters: requests, failures, kills, restarts.
 
         ``warm_resets``/``warm_compactions`` sum the warm-host counters
-        reported by each worker's most recent batch trailer — how often
-        a resident manager was replaced (universe mismatch) and how
-        often the between-cell collection compacted past the node
-        watermark.
+        reported by each worker's most recent batch — how often a
+        resident manager was replaced (universe mismatch) and how often
+        the between-cell collection compacted past the node watermark.
         """
         with self._cv:
             return {
@@ -1085,10 +961,26 @@ class MinimizationPool:
         if stop_me is not None:
             stop_me.stop()
 
-    def _swap_busy(self, dead: _Worker, fresh: _Worker) -> None:
+    def _replace(
+        self, worker: _Worker, cause: str, keep: bool = False
+    ) -> _Worker:
+        """Book a lost worker under ``cause`` (a key of ``_LOSSES``),
+        SIGKILL it and return its fresh replacement — checked in to the
+        free list, or with ``keep`` still checked out to the caller."""
+        fresh = _Worker(self._context, self.memory_limit)
         with self._cv:
-            index = self._busy.index(dead)
-            self._busy[index] = fresh
+            setattr(self, cause, getattr(self, cause) + 1)
+            self.worker_restarts += 1
+            if keep:
+                self._busy[self._busy.index(worker)] = fresh
+        mreg = obs_metrics.active()
+        if mreg is not None:
+            mreg.inc(_LOSSES[cause])
+            mreg.inc("serve.worker_replacements")
+        if not keep:
+            self._checkin(worker, fresh=fresh)
+        worker.kill()
+        return fresh
 
     # ------------------------------------------------------------------
     # Requests
@@ -1116,20 +1008,17 @@ class MinimizationPool:
         manager: Manager,
         requests: Sequence[Tuple[str, int, int]],
         deadline: Optional[float] = None,
-        batch: bool = True,
     ) -> List[ServeResult]:
         """Run ``(method, f, c)`` requests across the worker pool.
 
-        With ``batch=True`` (the default) cells are packed into batch
-        envelopes — each distinct ``(f, c)`` instance encoded once into
-        a shared-instance table — and sharded contiguously across up
-        to ``workers`` single-checkout batch dispatches
-        (:meth:`execute_batch`).  With ``batch=False`` every cell is
-        its own worker round trip, the pre-batching behaviour, kept
-        for differential testing and overhead measurement.  Either way
-        each cell is independently watchdogged and degrades alone — a
-        killed or failed cell never poisons the rest of its batch —
-        and results come back index-aligned with the input.  All
+        Each distinct ``(f, c)`` instance is encoded once into a
+        shared-instance table (the sweep runs every heuristic over the
+        same instance, so this cuts encode bytes by the heuristic
+        count), and the cells are sharded contiguously across up to
+        ``workers`` single-checkout dispatches (:meth:`execute_batch`).
+        Each cell is independently watchdogged and degrades alone — a
+        killed or failed cell never poisons the rest of its batch — and
+        results come back index-aligned with the input.  All
         caller-manager work (wire encoding, decoding, re-verification)
         happens on the calling thread; only the wire-level middle runs
         on dispatcher threads.
@@ -1141,99 +1030,39 @@ class MinimizationPool:
             raise ValueError("deadline must be positive")
         if not requests:
             return []
-        if batch and len(requests) > 1:
-            return self._run_batched(manager, requests, per_request)
-        jobs = [
-            (method, f, c, serialize_instance(manager, f, c))
-            for method, f, c in requests
-        ]
-        if len(jobs) <= 1 or self.num_workers == 1:
-            outcomes = [
-                self.execute(payload, method, deadline=per_request)
-                for method, _, _, payload in jobs
-            ]
-        else:
-            executor = self._dispatchers()
-            futures = [
-                executor.submit(
-                    self.execute, payload, method, per_request
-                )
-                for method, _, _, payload in jobs
-            ]
-            outcomes = [future.result() for future in futures]
-        return [
-            self._to_result(manager, method, f, c, outcome)
-            for (method, f, c, _), outcome in zip(jobs, outcomes)
-        ]
-
-    def _run_batched(
-        self,
-        manager: Manager,
-        requests: Sequence[Tuple[str, int, int]],
-        per_request: float,
-    ) -> List[ServeResult]:
-        """The batched middle of :meth:`run_batch`.
-
-        Dedups distinct ``(f, c)`` instances into a shared table (the
-        sweep runs every heuristic over the same instance, so this cuts
-        encode bytes by the heuristic count), shards the cell list
-        contiguously across up to ``workers`` envelopes, dispatches
-        each shard as one :meth:`execute_batch` checkout, and decodes
-        the reassembled outcomes on the calling thread.
-        """
         instance_ids: Dict[Tuple[int, int], int] = {}
         instances: List[bytes] = []
         cells: List[Tuple[int, str]] = []
         for method, f, c in requests:
-            key = (f, c)
-            index = instance_ids.get(key)
+            index = instance_ids.get((f, c))
             if index is None:
-                index = len(instances)
-                instance_ids[key] = index
+                index = instance_ids[(f, c)] = len(instances)
                 instances.append(serialize_instance(manager, f, c))
             cells.append((index, method))
 
         def dispatch(shard: List[Tuple[int, str]]) -> List[WireOutcome]:
-            # Re-index so each envelope carries only the instance
-            # payloads its own cells reference.
-            local_ids: Dict[int, int] = {}
-            local_instances: List[bytes] = []
-            local_cells: List[Tuple[int, str]] = []
-            for index, method in shard:
-                local = local_ids.get(index)
-                if local is None:
-                    local = len(local_instances)
-                    local_ids[index] = local
-                    local_instances.append(instances[index])
-                local_cells.append((local, method))
-            envelope = encode_batch(local_instances, local_cells)
             return self.execute_batch(
-                envelope,
-                [method for _, method in local_cells],
+                pack_cells(instances, shard),
+                [method for _, method in shard],
                 deadline=per_request,
             )
 
-        num_shards = min(self.num_workers, len(cells))
+        count = min(self.num_workers, len(cells))
+        size, extra = divmod(len(cells), count)
         shards: List[List[Tuple[int, str]]] = []
-        base = 0
-        size, extra = divmod(len(cells), num_shards)
-        for position in range(num_shards):
-            count = size + (1 if position < extra else 0)
-            shards.append(cells[base:base + count])
-            base += count
-        if num_shards == 1:
-            outcome_lists = [dispatch(shards[0])]
+        for position in range(count):
+            base = position * size + min(position, extra)
+            shards.append(cells[base:base + size + (position < extra)])
+        if count == 1:
+            outcomes = dispatch(shards[0])
         else:
             executor = self._dispatchers()
-            futures = [
-                executor.submit(dispatch, shard) for shard in shards
+            futures = [executor.submit(dispatch, shard) for shard in shards]
+            outcomes = [
+                outcome for future in futures for outcome in future.result()
             ]
-            outcome_lists = [future.result() for future in futures]
-        outcomes: List[WireOutcome] = []
-        for outcome_list in outcome_lists:
-            outcomes.extend(outcome_list)
         return [
-            self._to_result(manager, method, f, c, outcome)
+            self.decode_outcome(manager, method, f, c, outcome)
             for (method, f, c), outcome in zip(requests, outcomes)
         ]
 
@@ -1244,140 +1073,19 @@ class MinimizationPool:
         deadline: Optional[float] = None,
         block: bool = True,
     ) -> Optional[WireOutcome]:
-        """Run one wire-encoded ``[f, c]`` request on a worker.
+        """Run one wire-encoded ``[f, c]`` cell: a batch of one.
 
-        The thread-safe core primitive: blocks until a worker is free
-        (or returns ``None`` immediately with ``block=False``), ships
-        the payload, watchdogs the worker, and returns a
-        :class:`WireOutcome` — never raises on a request, only on
-        caller errors (closed pool, non-positive deadline).  Wire-level
-        failures are recorded against ``failures`` / ``last_failure``
-        and reported through ``on_failure`` here; parent-side decode
-        and verification belong to the caller.
+        Returns the cell's :class:`WireOutcome`, or ``None`` iff
+        ``block=False`` and no worker is idle (see
+        :meth:`execute_batch`).
         """
-        per_request = self.deadline if deadline is None else deadline
-        if per_request <= 0:
-            raise ValueError("deadline must be positive")
-        tracer = obs_trace.active()
-        t_entry = time.perf_counter()
-        worker = self._checkout(block=block)
-        if worker is None:
-            return None
-        t_checkout = time.perf_counter()
-        with self._cv:
-            self.requests += 1
-        request = {
-            "method": method,
-            "payload": payload,
-            "deadline": per_request,
-            "node_budget": self.node_budget,
-            "step_budget": self.step_budget,
-            "watermark": self.node_watermark,
-        }
-        context: Optional[TraceContext] = None
-        if tracer is not None:
-            seq = self._merger.next_seq()
-            self._merger.register_process(tracer._pid, "pool")
-            context = TraceContext(
-                trace_id=request_trace_id(seq),
-                seq=seq,
-                parent_span="pool.dispatch",
-                detail=seq % TRACE_DETAIL_EVERY == 0,
-            )
-        started = time.monotonic()
-        while True:
-            worker.served += 1
-            t_send = time.perf_counter()
-            if context is not None:
-                # The logical-clock offset: the parent-timeline µs at
-                # which this payload hits the pipe.  The worker's span
-                # bundle is recorded relative to its own receipt and
-                # rebased here at merge time, so no cross-process
-                # clock agreement is assumed.  Refreshed on the
-                # crash-retry path — the retry is a new send.
-                context.sent_at_us = tracer.offset_us(t_send)
-                request["trace"] = context.to_wire()
-            try:
-                worker.conn.send(request)
-            except (BrokenPipeError, OSError):
-                # The worker died between requests; replace it and
-                # retry the request on the fresh one.
-                fresh = _Worker(self._context, self.memory_limit)
-                self._swap_busy(worker, fresh)
-                with self._cv:
-                    self.crashes += 1
-                    self.worker_restarts += 1
-                mreg = obs_metrics.active()
-                if mreg is not None:
-                    mreg.inc("serve.worker_crashes")
-                    mreg.inc("serve.worker_replacements")
-                worker.kill()
-                worker = fresh
-                continue
-            break
-        kill_at = started + per_request + self.kill_grace
-        try:
-            ready = worker.conn.poll(max(0.0, kill_at - time.monotonic()))
-        except (BrokenPipeError, OSError):  # pragma: no cover - races
-            ready = False
-        if not ready:
-            outcome = self._kill_overdue(worker, method, per_request)
-            self._finish_request(
-                context,
-                method,
-                "killed",
-                t_entry,
-                t_checkout,
-                t_send,
-                worker_pid=worker.pid,
-            )
-            return outcome
-        try:
-            reply = worker.conn.recv()
-        except (EOFError, OSError):
-            outcome = self._crashed(worker, method, started)
-            self._finish_request(
-                context,
-                method,
-                "crashed",
-                t_entry,
-                t_checkout,
-                t_send,
-                worker_pid=worker.pid,
-            )
-            return outcome
-        runtime = reply.get("runtime", time.monotonic() - started)
-        stats = reply.get("stats")
-        mreg = obs_metrics.active()
-        if mreg is not None:
-            mreg.observe("serve.request_latency", runtime)
-        self._checkin(worker)
-        status = "ok" if reply["status"] == "ok" else "degraded"
-        self._finish_request(
-            context,
-            method,
-            status,
-            t_entry,
-            t_checkout,
-            t_send,
-            reply=reply,
-            worker_pid=worker.pid,
+        outcomes = self.execute_batch(
+            encode_batch([payload], [(0, method)]),
+            [method],
+            deadline=deadline,
+            block=block,
         )
-        if reply["status"] != "ok":
-            return self._wire_failure(
-                method,
-                reply["reason"],
-                reply["kind"],
-                killed=False,
-                runtime=runtime,
-                stats=stats,
-            )
-        return WireOutcome(
-            status="ok",
-            payload=reply["payload"],
-            runtime=runtime,
-            stats=stats,
-        )
+        return None if outcomes is None else outcomes[0]
 
     def execute_batch(
         self,
@@ -1388,21 +1096,25 @@ class MinimizationPool:
     ) -> Optional[List[WireOutcome]]:
         """Run one batch envelope on a single worker checkout.
 
-        The wire-level batch primitive: ships an
-        :func:`repro.bdd.wire.encode_batch` envelope, reads the
-        worker's streamed per-cell replies — resetting the watchdog
-        window after every reply, so ``deadline`` bounds each *cell*,
-        not the whole batch — and returns :class:`WireOutcome` objects
-        index-aligned with ``methods`` (which must name the envelope's
-        cells in order; it is what failure recording and the breaker
-        callback see).  One cell's failure never poisons its batch: a
-        guard trip or contract violation degrades that cell alone; a
-        watchdog kill or worker crash keeps every already-streamed
-        result, degrades the in-flight cell (``killed`` set on a
-        kill), and degrades the not-yet-run tail as transient
-        ``BatchAborted`` failures.  Returns ``None`` iff
-        ``block=False`` and no worker is idle.  Parent-side decode and
-        verification belong to the caller, as with :meth:`execute`.
+        The thread-safe, wire-level primitive every request goes
+        through: ships an :func:`repro.bdd.wire.encode_batch` envelope,
+        reads the worker's streamed per-cell replies — resetting the
+        watchdog window after every reply, so ``deadline`` bounds each
+        *cell*, not the whole batch — and returns :class:`WireOutcome`
+        objects index-aligned with ``methods`` (which must name the
+        envelope's cells in order; it is what failure recording and the
+        breaker callback see).  One cell's failure never poisons its
+        batch: a guard trip or contract violation degrades that cell
+        alone; a watchdog kill or worker crash keeps every
+        already-streamed result, degrades the in-flight cell
+        (``killed`` set on a kill), and degrades the not-yet-run tail
+        as transient ``BatchAborted`` failures.  Blocks until a worker
+        is free; returns ``None`` iff ``block=False`` and no worker is
+        idle.  Never raises on a request, only on caller errors (closed
+        pool, non-positive deadline).  Wire-level failures are recorded
+        against ``failures`` / ``last_failure`` and reported through
+        ``on_failure`` here; parent-side decode and verification belong
+        to the caller (:meth:`decode_outcome`).
         """
         num_cells = len(methods)
         if num_cells == 0:
@@ -1430,7 +1142,7 @@ class MinimizationPool:
             "step_budget": self.step_budget,
             "watermark": self.node_watermark,
         }
-        label = "batch[%d]" % num_cells
+        label = methods[0] if num_cells == 1 else "batch[%d]" % num_cells
         context: Optional[TraceContext] = None
         if tracer is not None:
             seq = self._merger.next_seq()
@@ -1446,144 +1158,111 @@ class MinimizationPool:
             worker.served += 1
             t_send = time.perf_counter()
             if context is not None:
+                # The logical-clock offset: the parent-timeline µs at
+                # which this envelope hits the pipe.  The worker's span
+                # bundle is recorded relative to its own receipt and
+                # rebased here at merge time, so no cross-process clock
+                # agreement is assumed.  Refreshed on the crash-retry
+                # path — the retry is a new send.
                 context.sent_at_us = tracer.offset_us(t_send)
                 request["trace"] = context.to_wire()
-            try:
-                worker.conn.send(request)
-            except (BrokenPipeError, OSError):
-                # The worker died between requests; replace it and
-                # retry the whole batch on the fresh one (nothing was
-                # streamed yet, so the retry is loss-free).
-                fresh = _Worker(self._context, self.memory_limit)
-                self._swap_busy(worker, fresh)
-                with self._cv:
-                    self.crashes += 1
-                    self.worker_restarts += 1
-                if mreg is not None:
-                    mreg.inc("serve.worker_crashes")
-                    mreg.inc("serve.worker_replacements")
-                worker.kill()
-                worker = fresh
-                continue
-            break
+            if _send(worker.conn, request):
+                break
+            # The worker died between requests; replace it and retry
+            # the whole batch on the fresh one (nothing was streamed
+            # yet, so the retry is loss-free).
+            worker = self._replace(worker, "crashes", keep=True)
         outcomes: List[Optional[WireOutcome]] = [None] * num_cells
         received = 0
-        trailer: Optional[dict] = None
+        last: Optional[dict] = None
         status = "ok"
         kill_at = started + per_cell + self.kill_grace
-        while trailer is None:
+        while last is None:
             try:
-                ready = worker.conn.poll(
+                overdue = not worker.conn.poll(
                     max(0.0, kill_at - time.monotonic())
                 )
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                ready = False
-            if not ready:
-                # Watchdog: the in-flight cell (or the trailer) is
-                # overdue.  SIGKILL and replace the worker; keep every
-                # streamed result, degrade the rest.
-                with self._cv:
-                    self.kills += 1
-                    self.worker_restarts += 1
-                if mreg is not None:
-                    mreg.inc("serve.watchdog_kills")
-                    mreg.inc("serve.worker_replacements")
-                fresh = _Worker(self._context, self.memory_limit)
-                self._checkin(worker, fresh=fresh)
-                worker.kill()
-                if received < num_cells:
-                    outcomes[received] = self._wire_failure(
-                        methods[received],
-                        "DeadlineExceeded: worker exceeded the %.3fs "
-                        "per-cell wall-clock deadline mid-batch and "
-                        "was killed (SIGKILL)" % per_cell,
-                        TRANSIENT,
-                        killed=True,
-                        runtime=per_cell,
-                    )
-                self._abort_tail(
-                    outcomes, methods, received + 1, "worker killed"
-                )
-                status = "killed"
-                break
-            try:
-                message = worker.conn.recv()
+                message = None if overdue else worker.conn.recv()
             except (EOFError, OSError):
-                exitcode = worker.process.exitcode
-                with self._cv:
-                    self.crashes += 1
-                    self.worker_restarts += 1
-                if mreg is not None:
-                    mreg.inc("serve.worker_crashes")
-                    mreg.inc("serve.worker_replacements")
-                fresh = _Worker(self._context, self.memory_limit)
-                self._checkin(worker, fresh=fresh)
-                worker.kill()
+                overdue, message = False, None
+            if message is None:
+                # Watchdog (the in-flight cell is overdue) or crash (the
+                # worker died: OOM kill, segfault, explicit exit).  Both
+                # are transient; replace the worker, keep every
+                # streamed result, degrade the in-flight cell here and
+                # the not-yet-run tail below.
+                if overdue:
+                    status = "killed"
+                    reason = (
+                        "DeadlineExceeded: worker exceeded the %.3fs "
+                        "per-cell wall-clock deadline and was killed "
+                        "(SIGKILL)" % per_cell
+                    )
+                    runtime = per_cell
+                else:
+                    status = "crashed"
+                    reason = (
+                        "WorkerCrash: worker died mid-request (exit "
+                        "code %s)" % worker.process.exitcode
+                    )
+                    runtime = time.monotonic() - started
+                self._replace(worker, "kills" if overdue else "crashes")
                 if received < num_cells:
                     outcomes[received] = self._wire_failure(
                         methods[received],
-                        "WorkerCrash: worker died mid-batch (exit "
-                        "code %s)" % exitcode,
+                        reason,
                         TRANSIENT,
-                        killed=False,
-                        runtime=time.monotonic() - started,
+                        killed=overdue,
+                        runtime=runtime,
                     )
-                self._abort_tail(
-                    outcomes, methods, received + 1, "worker crashed"
-                )
-                status = "crashed"
                 break
-            msg_status = message.get("status")
-            if msg_status == "batch_done":
-                trailer = message
-                warm = message.get("warm")
-                if warm is not None and worker.pid is not None:
-                    with self._cv:
-                        self._warm[worker.pid] = warm
-                self._checkin(worker)
-                break
-            if msg_status == "batch_error":
+            if message["status"] == "batch_error":
                 # The envelope itself was undecodable: every cell
                 # fails deterministically; the worker stays healthy.
-                for position in range(received, num_cells):
+                for position in range(num_cells):
                     outcomes[position] = self._wire_failure(
                         methods[position],
-                        message.get(
-                            "reason", "WireError: undecodable batch"
-                        ),
-                        message.get("kind", DETERMINISTIC),
-                        killed=False,
+                        message["reason"],
+                        message["kind"],
                     )
-                status = "degraded"
-                self._checkin(worker)
-                break
-            position = message["cell"]
-            runtime = message.get("runtime", 0.0)
-            if mreg is not None:
-                mreg.observe("serve.request_latency", runtime)
-            if msg_status == "ok":
-                outcomes[position] = WireOutcome(
-                    status="ok",
-                    payload=message["payload"],
-                    runtime=runtime,
-                    stats=message.get("stats"),
-                )
             else:
-                outcomes[position] = self._wire_failure(
+                position = message["cell"]
+                runtime = message.get("runtime", 0.0)
+                if mreg is not None:
+                    mreg.observe("serve.request_latency", runtime)
+                if message["status"] == "ok":
+                    outcomes[position] = WireOutcome(
+                        status="ok",
+                        payload=message["payload"],
+                        runtime=runtime,
+                        stats=message.get("stats"),
+                    )
+                else:
+                    outcomes[position] = self._wire_failure(
+                        methods[position],
+                        message["reason"],
+                        message["kind"],
+                        runtime=runtime,
+                        stats=message.get("stats"),
+                    )
+                received += 1
+                kill_at = time.monotonic() + per_cell + self.kill_grace
+            if message.get("done"):
+                last = message
+                if worker.pid is not None:
+                    with self._cv:
+                        self._warm[worker.pid] = message["warm"]
+                self._checkin(worker)
+        failed_cells = 0
+        for position, outcome in enumerate(outcomes):
+            if outcome is None:
+                outcome = outcomes[position] = self._wire_failure(
                     methods[position],
-                    message["reason"],
-                    message["kind"],
-                    killed=False,
-                    runtime=runtime,
-                    stats=message.get("stats"),
+                    "BatchAborted: the batch ended (%s) before this "
+                    "cell ran" % status,
+                    TRANSIENT,
                 )
-            received += 1
-            kill_at = time.monotonic() + per_cell + self.kill_grace
-        failed_cells = sum(
-            1
-            for outcome in outcomes
-            if outcome is not None and not outcome.ok
-        )
+            failed_cells += not outcome.ok
         if status == "ok" and failed_cells:
             status = "degraded"
         if mreg is not None and 0 < failed_cells < num_cells:
@@ -1595,37 +1274,10 @@ class MinimizationPool:
             t_entry,
             t_checkout,
             t_send,
-            reply=trailer,
+            reply=last,
             worker_pid=worker.pid,
         )
-        return [
-            outcome
-            if outcome is not None
-            else self._wire_failure(
-                methods[position],
-                "BatchAborted: no reply for this cell",
-                TRANSIENT,
-                killed=False,
-            )
-            for position, outcome in enumerate(outcomes)
-        ]
-
-    def _abort_tail(
-        self,
-        outcomes: List[Optional[WireOutcome]],
-        methods: Sequence[str],
-        start: int,
-        why: str,
-    ) -> None:
-        """Degrade every not-yet-run cell after a mid-batch kill/crash."""
-        for position in range(start, len(outcomes)):
-            if outcomes[position] is None:
-                outcomes[position] = self._wire_failure(
-                    methods[position],
-                    "BatchAborted: %s before this cell ran" % why,
-                    TRANSIENT,
-                    killed=False,
-                )
+        return outcomes
 
     def probe(self, timeout: float = 1.0) -> Dict[str, int]:
         """Health-check every currently idle worker with a ping.
@@ -1644,9 +1296,8 @@ class MinimizationPool:
             if worker is None:
                 break
             grabbed.append(worker)
-        probed = healthy = replaced = 0
+        healthy = 0
         for worker in grabbed:
-            probed += 1
             with self._cv:
                 self._probe_token += 1
                 token = self._probe_token
@@ -1665,18 +1316,12 @@ class MinimizationPool:
                 healthy += 1
                 self._checkin(worker)
             else:
-                replaced += 1
-                with self._cv:
-                    self.probe_failures += 1
-                    self.worker_restarts += 1
-                mreg = obs_metrics.active()
-                if mreg is not None:
-                    mreg.inc("serve.probe_failures")
-                    mreg.inc("serve.worker_replacements")
-                fresh = _Worker(self._context, self.memory_limit)
-                self._checkin(worker, fresh=fresh)
-                worker.kill()
-        return {"probed": probed, "healthy": healthy, "replaced": replaced}
+                self._replace(worker, "probe_failures")
+        return {
+            "probed": len(grabbed),
+            "healthy": healthy,
+            "replaced": len(grabbed) - healthy,
+        }
 
     # ------------------------------------------------------------------
     # Internals
@@ -1769,7 +1414,6 @@ class MinimizationPool:
             parent_events = parent_events + synthesize_worker_spans(
                 worker_phases, worker_pid, context
             )
-            bundle = None
         self._merger.add_group(
             context.seq,
             parent_events,
@@ -1777,60 +1421,12 @@ class MinimizationPool:
             bundle=bundle,
         )
 
-    def _kill_overdue(
-        self, worker: _Worker, method: str, per_request: float
-    ) -> WireOutcome:
-        with self._cv:
-            self.kills += 1
-            self.worker_restarts += 1
-        mreg = obs_metrics.active()
-        if mreg is not None:
-            mreg.inc("serve.watchdog_kills")
-            mreg.inc("serve.worker_replacements")
-        fresh = _Worker(self._context, self.memory_limit)
-        self._checkin(worker, fresh=fresh)
-        worker.kill()
-        return self._wire_failure(
-            method,
-            "DeadlineExceeded: worker exceeded the %.3fs wall-clock "
-            "deadline and was killed (SIGKILL)" % per_request,
-            TRANSIENT,
-            killed=True,
-            runtime=per_request,
-        )
-
-    def _crashed(
-        self, worker: _Worker, method: str, started: float
-    ) -> WireOutcome:
-        # The worker died mid-request: OOM kill, segfault, or an
-        # explicit exit.  Classified transient (a fresh worker may
-        # well succeed) and the worker is replaced.
-        exitcode = worker.process.exitcode
-        with self._cv:
-            self.crashes += 1
-            self.worker_restarts += 1
-        mreg = obs_metrics.active()
-        if mreg is not None:
-            mreg.inc("serve.worker_crashes")
-            mreg.inc("serve.worker_replacements")
-        fresh = _Worker(self._context, self.memory_limit)
-        self._checkin(worker, fresh=fresh)
-        worker.kill()
-        return self._wire_failure(
-            method,
-            "WorkerCrash: worker died mid-request (exit code %s)"
-            % exitcode,
-            TRANSIENT,
-            killed=False,
-            runtime=time.monotonic() - started,
-        )
-
     def _wire_failure(
         self,
         method: str,
         reason: str,
         kind: str,
-        killed: bool,
+        killed: bool = False,
         runtime: float = 0.0,
         stats: Optional[Dict[str, int]] = None,
     ) -> WireOutcome:
@@ -1851,60 +1447,6 @@ class MinimizationPool:
         if self.on_failure is not None:
             self.on_failure(method, reason)
 
-    def _to_result(
-        self,
-        manager: Manager,
-        method: str,
-        fallback: int,
-        care: int,
-        outcome: WireOutcome,
-    ) -> ServeResult:
-        """Decode a wire outcome into the caller's manager (caller
-        thread only); re-verify when ``verify`` is set."""
-        if not outcome.ok:
-            return ServeResult(
-                method=method,
-                cover=fallback,
-                reason=outcome.reason,
-                kind=outcome.kind,
-                killed=outcome.killed,
-                runtime=outcome.runtime,
-                stats=outcome.stats,
-            )
-        try:
-            _, roots = deserialize(outcome.payload, manager=manager)
-            cover = roots[0]
-        except (WireError, IndexError) as error:
-            reason = "WireError: undecodable result payload: %s" % error
-            self._record_failure(method, reason)
-            return ServeResult(
-                method=method,
-                cover=fallback,
-                reason=reason,
-                kind=DETERMINISTIC,
-                runtime=outcome.runtime,
-                stats=outcome.stats,
-            )
-        if self.verify and not self._covers(manager, fallback, care, cover):
-            reason = (
-                "ContractError: worker returned a non-cover for %s" % method
-            )
-            self._record_failure(method, reason)
-            return ServeResult(
-                method=method,
-                cover=fallback,
-                reason=reason,
-                kind=DETERMINISTIC,
-                runtime=outcome.runtime,
-                stats=outcome.stats,
-            )
-        return ServeResult(
-            method=method,
-            cover=cover,
-            runtime=outcome.runtime,
-            stats=outcome.stats,
-        )
-
     def decode_outcome(
         self,
         manager: Manager,
@@ -1915,17 +1457,36 @@ class MinimizationPool:
     ) -> ServeResult:
         """Decode one :class:`WireOutcome` into ``manager``.
 
-        The public half of the wire/decode split for callers that drive
-        :meth:`execute` / :meth:`execute_batch` themselves (e.g. the
-        pipelined experiment harness): dispatch can happen on any
-        thread, but decode and re-verification mutate the caller's
+        Dispatch can happen on any thread, but decode and
+        re-verification (when ``verify`` is set) mutate the caller's
         manager and must run on the thread that owns it.  Failed
         outcomes map to a ``ServeResult`` carrying ``fallback`` as the
-        cover, exactly like :meth:`run_batch`.
+        cover.
         """
-        return self._to_result(manager, method, fallback, care, outcome)
 
-    def _covers(self, manager, f: int, c: int, cover: int) -> bool:
-        from repro.bdd.cover import is_def2_cover
+        def result(cover: int, reason: Optional[str], kind: str):
+            return ServeResult(
+                method=method,
+                cover=cover,
+                reason=reason,
+                kind=kind,
+                killed=outcome.killed,
+                runtime=outcome.runtime,
+                stats=outcome.stats,
+            )
 
-        return is_def2_cover(manager, f, c, cover)
+        if not outcome.ok:
+            return result(fallback, outcome.reason, outcome.kind)
+        try:
+            _, roots = deserialize(outcome.payload, manager=manager)
+            cover = roots[0]
+        except (WireError, IndexError) as error:
+            reason = "WireError: undecodable result payload: %s" % error
+        else:
+            if not self.verify or is_def2_cover(manager, fallback, care, cover):
+                return result(cover, None, TRANSIENT)
+            reason = (
+                "ContractError: worker returned a non-cover for %s" % method
+            )
+        self._record_failure(method, reason)
+        return result(fallback, reason, DETERMINISTIC)

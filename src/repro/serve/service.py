@@ -1,24 +1,14 @@
-"""The minimization service: pool + circuit breakers + bounded retry.
+"""The synchronous front door: pool + circuit breakers + bounded retry.
 
-:class:`MinimizationService` is the front door of the serve layer.  One
-request flows::
-
-    minimize(manager, f, c, method)
-      │
-      ├─ breaker check ── open? ──────────► short-circuit: identity
-      │                                     cover + "CircuitOpen" reason
-      ▼
-      pool.minimize (wire-encode → child process → watchdog/rlimit)
-      │
-      ├─ success ────────────────────────► record_success, return cover
-      ├─ transient failure (kill/OOM/
-      │  crash/budget) ──────────────────► retry with backoff, up to
-      │                                    RetryPolicy.max_attempts
-      └─ deterministic failure (contract
-         violation, unknown heuristic) ──► fail fast, no retry
-      │
-      ▼ (attempts exhausted or fail-fast)
-      record_failure on the breaker, return identity cover + reason
+:class:`MinimizationService` is a thin adapter over
+:meth:`MinimizationPool.minimize` (a batch of one) for synchronous
+callers — ``repro-bdd serve``, ``minimize --isolate`` and the
+differential ``pool`` lane.  One request is gated by its heuristic's
+breaker (open: the identity cover with a ``CircuitOpen`` reason, the
+pool never touched), retried with deadline backoff on *transient*
+failures up to :class:`~repro.serve.breaker.RetryPolicy`
+``max_attempts``, failed fast on deterministic ones, and finally
+recorded on the breaker.
 
 Every returned cover is valid for ``[f, c]`` (Definition 2): either the
 heuristic's verified result or the identity ``f``.  The service never
@@ -88,20 +78,12 @@ class MinimizationService:
         self.short_circuits = 0
         self.retries = 0
         self.last_failure: Optional[str] = None
-        #: Aggregated worker-side Manager.statistics() across every
-        #: request that shipped a snapshot back (cumulative counters
-        #: summed, sizes/peaks kept as maxima).  Workers keep a warm
-        #: resident manager across requests, so each snapshot is a
-        #: per-cell delta against the manager's state at cell start,
-        #: not a whole-process cumulative count.
+        #: Worker-side Manager.statistics() deltas summed over every
+        #: request that shipped one back (sizes/peaks kept as maxima).
         self.worker_stats: Dict[str, int] = {}
-        # Counter/aggregate guard: the async gateway's dispatcher
-        # threads and harness threads may share one service.
+        # Counter/aggregate guard: harness threads may share one service.
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Shut down (and close the pool when it is owned)."""
         if self.own_pool:
@@ -131,9 +113,6 @@ class MinimizationService:
         stats.update(self.pool.statistics())
         return stats
 
-    # ------------------------------------------------------------------
-    # Requests
-    # ------------------------------------------------------------------
     def minimize(
         self,
         manager: Manager,
@@ -147,73 +126,68 @@ class MinimizationService:
         Never raises; the returned :class:`ServeResult`'s ``cover`` is
         always a valid cover of ``[f, c]`` in ``manager``.
         """
-        with self._lock:
-            self.requests += 1
         mreg = obs_metrics.active()
         breaker = self.board.breaker(method)
+        with self._lock:
+            self.requests += 1
         state_before = breaker.state
         allowed = breaker.allow()
-        if mreg is not None and breaker.state != state_before:
-            mreg.inc(
-                "serve.breaker.%s_to_%s" % (state_before, breaker.state)
-            )
+        _count_transition(mreg, state_before, breaker.state)
         if not allowed:
-            reason = "CircuitOpen: %s" % breaker.describe()
             with self._lock:
                 self.short_circuits += 1
             if mreg is not None:
                 mreg.inc("serve.short_circuits")
-            self._record(method, reason)
-            return ServeResult(
+            result = ServeResult(
                 method=method,
                 cover=f,
-                reason=reason,
+                reason="CircuitOpen: %s" % breaker.describe(),
                 kind=TRANSIENT,
                 short_circuited=True,
                 attempts=0,
             )
-        base = self.pool.deadline if deadline is None else deadline
-        result: Optional[ServeResult] = None
-        with obs_trace.span("serve.request", method=method):
-            for attempt in range(self.retry.max_attempts):
-                if attempt > 0:
-                    with self._lock:
-                        self.retries += 1
-                    if mreg is not None:
-                        mreg.inc("serve.retries")
-                result = self.pool.minimize(
-                    manager,
-                    f,
-                    c,
-                    method=method,
-                    deadline=self.retry.deadline_for(base, attempt),
-                )
-                result.attempts = attempt + 1
-                self._absorb_stats(result)
-                if result.ok:
-                    breaker.record_success()
-                    return result
-                if not result.transient:
-                    # Deterministic failure: retrying cannot help.
-                    break
-        state_before = breaker.state
-        breaker.record_failure()
-        if mreg is not None and breaker.state != state_before:
-            mreg.inc(
-                "serve.breaker.%s_to_%s" % (state_before, breaker.state)
-            )
-        self._record(method, result.reason)
+        else:
+            base = self.pool.deadline if deadline is None else deadline
+            with obs_trace.span("serve.request", method=method):
+                for attempt in range(self.retry.max_attempts):
+                    if attempt > 0:
+                        with self._lock:
+                            self.retries += 1
+                        if mreg is not None:
+                            mreg.inc("serve.retries")
+                    result = self.pool.minimize(
+                        manager,
+                        f,
+                        c,
+                        method=method,
+                        deadline=self.retry.deadline_for(base, attempt),
+                    )
+                    result.attempts = attempt + 1
+                    if result.stats:
+                        with self._lock:
+                            obs_metrics.merge_counts(
+                                self.worker_stats, result.stats
+                            )
+                    # Deterministic failures fail fast: a bug does not
+                    # heal under a bigger deadline.
+                    if result.ok or not result.transient:
+                        break
+            if result.ok:
+                breaker.record_success()
+            else:
+                state_before = breaker.state
+                breaker.record_failure()
+                _count_transition(mreg, state_before, breaker.state)
+        if not result.ok:
+            with self._lock:
+                self.failures += 1
+                self.last_failure = result.reason
+            if self.on_failure is not None:
+                self.on_failure(method, result.reason)
         return result
 
-    def _absorb_stats(self, result: ServeResult) -> None:
-        """Fold a result's worker-side statistics into the aggregate."""
-        if result.stats:
-            with self._lock:
-                obs_metrics.merge_counts(self.worker_stats, result.stats)
 
-    def _record(self, method: str, reason: str) -> None:
-        with self._lock:
-            self.failures += 1
-            self.last_failure = reason
-        if self.on_failure is not None:
-            self.on_failure(method, reason)
+def _count_transition(mreg, before: str, after: str) -> None:
+    """Count a breaker state change as ``serve.breaker.<from>_to_<to>``."""
+    if mreg is not None and after != before:
+        mreg.inc("serve.breaker.%s_to_%s" % (before, after))

@@ -2,24 +2,17 @@
 
 A *lane* pushes wire-encoded ``[f, c]`` instances through one serving
 path and reports, per ``(instance, method)``, a normalized
-:class:`LaneResult`.  Five lanes ship:
+:class:`LaneResult`.  Four lanes ship:
 
 ``inprocess``
     The registry heuristic called directly — the reference lane.
 ``pool``
     :class:`~repro.serve.service.MinimizationService` over an isolated
     :class:`~repro.serve.pool.MinimizationPool` (process workers,
-    watchdog, breakers, retries), one worker round trip per cell.
-``batch``
-    The same pool driven through the batched wire path: every
-    instance's cells packed into batch envelopes
-    (:meth:`~repro.serve.pool.MinimizationPool.run_batch` with
-    ``batch=True`` → ``execute_batch``), decoded per cell.  Its
-    byte-agreement with ``pool`` and ``inprocess`` is exactly the
-    batched-dispatch differential.
+    watchdog, breakers, retries), each cell a batch of one.
 ``gateway``
     The async :class:`~repro.serve.gateway.MinimizationGateway` with
-    admission control and hedging.
+    admission control, each instance's cells submitted as one batch.
 ``chaos``
     The gateway again, under a named fault schedule from
     :mod:`repro.robust.chaos` (worker kills, stalls, corrupt payloads,
@@ -54,7 +47,6 @@ from repro.verify.corpus import Instance
 LANE_NAMES: Tuple[str, ...] = (
     "inprocess",
     "pool",
-    "batch",
     "gateway",
     "chaos",
 )
@@ -173,61 +165,15 @@ class PoolLane:
         return results
 
 
-class BatchLane:
-    """The pool driven through the batched dispatch path.
-
-    Every instance's cells travel in batch envelopes — the instance
-    payload encoded once into the shared table, cells referencing it
-    by index — through
-    :meth:`~repro.serve.pool.MinimizationPool.execute_batch` on warm
-    worker managers, then each cover is decoded and normalized over
-    the instance's scratch manager.  Because the wire format is
-    canonical, a conforming batched path must produce byte-identical
-    covers to the single-cell ``pool`` lane; any divergence (a stale
-    ref surviving a between-cell collection, a cross-cell leak in the
-    warm manager, a mis-aligned outcome) surfaces as a lane
-    disagreement.
-    """
-
-    name = "batch"
-
-    def __init__(self, workers: int = 2, deadline: float = 30.0):
-        self.workers = workers
-        self.deadline = deadline
-
-    def run(
-        self, instances: Sequence[Instance], methods: Sequence[str]
-    ) -> List[LaneResult]:
-        from repro.serve.pool import MinimizationPool
-
-        results: List[LaneResult] = []
-        with MinimizationPool(
-            workers=self.workers, deadline=self.deadline
-        ) as pool:
-            for instance in instances:
-                manager, f, c = instance.decode()
-                replies = pool.run_batch(
-                    manager,
-                    [(method, f, c) for method in methods],
-                    batch=True,
-                )
-                for method, reply in zip(methods, replies):
-                    results.append(
-                        LaneResult(
-                            self.name,
-                            instance,
-                            method,
-                            COMPLETED if reply.ok else DEGRADED,
-                            cover_payload=_normalize(manager, reply.cover),
-                            reason=reply.reason,
-                            kind=reply.kind if not reply.ok else None,
-                        )
-                    )
-        return results
-
-
 class GatewayLane:
-    """Async admission-controlled lane through MinimizationGateway."""
+    """Async admission-controlled lane through MinimizationGateway.
+
+    Each instance's cells are submitted as one batch, so this lane's
+    byte agreement with the single-cell ``pool`` lane is the
+    multi-cell-envelope differential: a stale ref surviving a
+    between-cell collection, a cross-cell leak in the warm manager or
+    a mis-aligned outcome surfaces as a lane disagreement.
+    """
 
     name = "gateway"
 
@@ -269,34 +215,38 @@ class GatewayLane:
         results: List[LaneResult] = []
         try:
             for instance in instances:
-                for method in methods:
-                    manager, f, c = instance.decode()
-                    try:
-                        outcome = await gateway.minimize(
-                            manager, f, c, method
+                try:
+                    replies = await gateway.submit_batch(
+                        [instance.payload],
+                        [(0, method) for method in methods],
+                    )
+                except GatewayError as error:
+                    results.extend(
+                        LaneResult(
+                            self.name,
+                            instance,
+                            method,
+                            REJECTED,
+                            reason="%s: %s" % (type(error).__name__, error),
+                            kind=type(error).__name__,
                         )
-                    except GatewayError as error:
-                        results.append(
-                            LaneResult(
-                                self.name,
-                                instance,
-                                method,
-                                REJECTED,
-                                reason="%s: %s"
-                                % (type(error).__name__, error),
-                                kind=type(error).__name__,
-                            )
-                        )
-                        continue
+                        for method in methods
+                    )
+                    continue
+                for method, reply in zip(methods, replies):
+                    manager, f, _ = instance.decode()
+                    cover = f
+                    if reply.payload is not None:
+                        _, (cover,) = deserialize(reply.payload, manager=manager)
                     results.append(
                         LaneResult(
                             self.name,
                             instance,
                             method,
-                            COMPLETED if outcome.ok else DEGRADED,
-                            cover_payload=_normalize(manager, outcome.cover),
-                            reason=outcome.reason,
-                            kind=outcome.kind if not outcome.ok else None,
+                            COMPLETED if reply.ok else DEGRADED,
+                            cover_payload=_normalize(manager, cover),
+                            reason=reply.reason,
+                            kind=reply.kind if not reply.ok else None,
                         )
                     )
         finally:
@@ -460,8 +410,6 @@ def build_lane(name: str, seed: int = 0, deadline: float = 30.0):
         return InProcessLane()
     if name == "pool":
         return PoolLane(deadline=deadline)
-    if name == "batch":
-        return BatchLane(deadline=deadline)
     if name == "gateway":
         return GatewayLane(deadline=deadline)
     if name == "chaos":

@@ -457,9 +457,12 @@ class TestPooledEndToEnd:
         batch = [("osm_bt", f, c)] * (TRACE_DETAIL_EVERY + 3)
         with obs_trace.tracing(str(path)):
             with MinimizationPool(workers=2) as pool:
-                # batch=False: one dispatch (and one trace seq) per
+                # Batches of one: one dispatch (and one trace seq) per
                 # cell — the per-request trace shape this test pins.
-                replies = pool.run_batch(manager, batch, batch=False)
+                replies = [
+                    pool.minimize(manager, f, c, method=method)
+                    for method, f, c in batch
+                ]
         assert all(reply.ok for reply in replies)
 
         events = load_trace(str(path))

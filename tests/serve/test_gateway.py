@@ -116,9 +116,12 @@ class TestHealthyPath:
             manager, f, c = _instance()
             with MinimizationPool(workers=1) as pool:
                 async with MinimizationGateway(pool) as gateway:
-                    result = await gateway.minimize(manager, f, c, "osm_bt")
-            assert result.ok
-            assert ISpec(manager, f, c).is_cover(result.cover)
+                    reply = await gateway.submit(
+                        serialize_instance(manager, f, c), "osm_bt"
+                    )
+            assert reply.ok
+            _, (cover,) = deserialize(reply.payload, manager=manager)
+            assert ISpec(manager, f, c).is_cover(cover)
 
         _run(drill())
 
@@ -561,6 +564,54 @@ class TestBatchSubmission:
                 return reply
 
         assert _run(drill()).ok
+
+    def test_batch_of_one_is_retried_like_submit(self, registered):
+        payload = _payload()
+
+        async def drill():
+            with MinimizationPool(workers=1, **FAST) as pool:
+                async with MinimizationGateway(pool) as gateway:
+                    replies = await gateway.submit_batch(
+                        [payload], [(0, "test_crash")], deadline=4.0
+                    )
+                    return replies, gateway.retries
+
+        (reply,), retries = _run(drill())
+        assert reply.degraded and reply.attempts == 2
+        assert retries == 1
+
+    @pytest.mark.parametrize("open_breaker", [False, True])
+    def test_multi_cell_batch_is_never_hedged_or_retried(
+        self, registered, open_breaker
+    ):
+        # With osm_bt's breaker open only the crashing cell is
+        # dispatched; it still belongs to a batch of two, so it must
+        # not be hedged or retried either.
+        payload = _payload()
+        board = BreakerBoard(failure_threshold=1, cooldown=4)
+        if open_breaker:
+            board.breaker("osm_bt").record_failure()  # trip it open
+
+        async def drill():
+            with MinimizationPool(workers=2, **FAST) as pool:
+                async with MinimizationGateway(
+                    pool,
+                    hedge=HedgePolicy(delay_fraction=0.0, every=1),
+                    board=board,
+                ) as gateway:
+                    replies = await gateway.submit_batch(
+                        [payload], [(0, "osm_bt"), (0, "test_crash")]
+                    )
+                    return replies, gateway.hedges, gateway.retries
+
+        replies, hedges, retries = _run(drill())
+        if open_breaker:
+            assert replies[0].degraded and "CircuitOpen" in replies[0].reason
+        else:
+            assert replies[0].ok
+        assert replies[1].degraded and "WorkerCrash" in replies[1].reason
+        assert replies[1].attempts == 1
+        assert (hedges, retries) == (0, 0)
 
     def test_batch_validation(self):
         payload = _payload()

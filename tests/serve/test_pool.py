@@ -20,6 +20,7 @@ from repro.serve.pool import (
     TRANSIENT,
     MinimizationPool,
     ServeResult,
+    pack_cells,
 )
 
 # The pool tests register throwaway heuristics from inside the test
@@ -168,15 +169,17 @@ class TestBatchedDispatch:
         assert "BatchAborted" in replies[2].reason
 
     def test_batched_matches_single_cell_bytes(self):
-        # The differential acceptance check: the batched path and the
-        # per-cell path must produce byte-identical canonical covers.
+        # The differential acceptance check: multi-cell envelopes and
+        # batches of one must produce byte-identical canonical covers.
         from repro.bdd.wire import serialize
 
         manager, f, c = _instance()
         cells = [(m, f, c) for m in self.METHODS]
         with MinimizationPool(workers=2) as pool:
-            batched = pool.run_batch(manager, cells, batch=True)
-            single = pool.run_batch(manager, cells, batch=False)
+            batched = pool.run_batch(manager, cells)
+            single = [
+                pool.minimize(manager, f, c, method=m) for m in self.METHODS
+            ]
         for one, other in zip(batched, single):
             assert one.ok and other.ok
             assert serialize(manager, (one.cover,)) == serialize(
@@ -229,6 +232,23 @@ class TestBatchedDispatch:
             stats = pool.statistics()
         assert all(r.ok for r in first) and all(r.ok for r in second)
         assert stats["warm_resets"] >= 1
+
+
+def test_pack_cells_carries_only_referenced_instances():
+    from repro.bdd.wire import decode_batch
+
+    envelope = decode_batch(
+        pack_cells(
+            [b"a", b"b", b"c"],
+            [(2, "osm_bt"), (0, "f_orig"), (2, "restrict")],
+        )
+    )
+    assert list(envelope.instances) == [b"c", b"a"]
+    assert list(envelope.cells) == [
+        (0, "osm_bt"),
+        (1, "f_orig"),
+        (0, "restrict"),
+    ]
 
 
 class TestAlarmDeadline:

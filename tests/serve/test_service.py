@@ -11,6 +11,7 @@ import pytest
 from repro.bdd.manager import Manager
 from repro.core.ispec import ISpec
 from repro.core.registry import register_heuristic, unregister_heuristic
+from repro.obs import metrics as obs_metrics
 from repro.serve.breaker import CLOSED, OPEN, RetryPolicy
 from repro.serve.pool import MinimizationPool
 from repro.serve.service import MinimizationService
@@ -71,6 +72,22 @@ class TestServiceBasics:
             result = service.minimize(manager, f, c, method="no_such")
         assert result.degraded and result.attempts == 1
         assert "UnknownHeuristic" in result.reason
+
+    def test_worker_stats_and_breaker_transition_metrics(self):
+        manager, f, c = _instance()
+        pool = MinimizationPool(workers=1)
+        with obs_metrics.collecting() as registry, MinimizationService(
+            pool, failure_threshold=1, own_pool=True
+        ) as service:
+            healthy = service.minimize(manager, f, c, method="osm_bt")
+            service.minimize(manager, f, c, method="no_such")
+            stats = service.statistics()
+        assert healthy.stats["nodes_created"] > 0
+        assert stats["worker_stats"]["nodes_created"] == (
+            healthy.stats["nodes_created"]
+        )
+        counters = registry.snapshot()["counters"]
+        assert counters["serve.breaker.closed_to_open"] == 1
 
     def test_retry_recovers_transient_failure(self, tmp_path):
         # First attempt hangs (flag present) and is killed; the
@@ -223,35 +240,8 @@ class TestSweepParity:
                     continue
                 assert left.sizes[name] == right.sizes[name]
         assert pooled.failed_cells == 0
-
-    def test_batched_sweep_matches_unbatched(self):
-        # Batched dispatch (one envelope per call) is a pure transport
-        # optimization: cell sizes must match the per-cell round-trip
-        # path exactly.
-        from repro.experiments.calls import collect_suite_calls
-        from repro.experiments.harness import run_heuristics
-
-        subset = ("osm_bt", "constrain", "restrict", "f_orig")
-        batched = run_heuristics(
-            collect_suite_calls(["tlc"]),
-            heuristics=subset,
-            compute_lower_bound=False,
-            parallel=2,
-            batch=True,
-        )
-        unbatched = run_heuristics(
-            collect_suite_calls(["tlc"]),
-            heuristics=subset,
-            compute_lower_bound=False,
-            parallel=2,
-            batch=False,
-        )
-        assert batched.failed_cells == 0
-        assert unbatched.failed_cells == 0
-        for left, right in zip(batched.results, unbatched.results):
-            assert left.sizes == right.sizes
-        stats = batched.serve_stats
-        assert stats is not None and stats["batches"] > 0
+        # Each call's cells ride one batch envelope.
+        assert pooled.serve_stats["batches"] == pooled.total_calls
 
     def test_breaker_gates_harness_cells(self, tmp_path):
         # A permanently hung heuristic stops being dispatched once its
