@@ -72,9 +72,8 @@ class BudgetExceeded(Exception):
 
     Unlike :class:`AnalysisError` and its subclasses — which mark *bugs*
     — a budget trip is an expected, recoverable condition: ``constrain``
-    can blow up quadratically, Proposition 4 exhibits unbounded growth
-    for the matching heuristics, and a deep BDD can exceed the
-    interpreter's recursion limit.  The fault-tolerance layer
+    can blow up quadratically and Proposition 4 exhibits unbounded
+    growth for the matching heuristics.  The fault-tolerance layer
     (:mod:`repro.robust`) catches this hierarchy and degrades to a safe
     cover instead of crashing.
 
@@ -97,14 +96,9 @@ class DeadlineExceeded(BudgetExceeded):
     """The governed computation overran its wall-clock deadline."""
 
 
-class RecursionBudgetExceeded(BudgetExceeded):
-    """A bounded traversal exceeded its depth/step allowance.
-
-    Historical note: the manager's operator kernels were once recursive
-    and raised this in place of a raw :class:`RecursionError` when a
-    limit-raising retry still overflowed.  The kernels are iterative
-    now (depth is heap-bounded), so the manager never raises it — the
-    class survives as a typed, recoverable budget signal for callers
-    that impose their own depth or step bounds, and so existing
-    handlers written against the old contract keep compiling.
-    """
+#: Failures a caller can degrade through instead of crashing: a budget
+#: trip, or a result that broke an invariant or contract.  Anything
+#: else is a programming error and propagates.  The sweep harness
+#: records them per cell, the §3.4 schedule returns its last safe
+#: intermediate, and the guard falls back to the identity cover.
+RECOVERABLE_ERRORS = (BudgetExceeded, ContractError, InvariantError)

@@ -25,7 +25,7 @@ import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.errors import InvariantError
-from repro.bdd.manager import Manager, ONE, ZERO
+from repro.bdd.manager import Manager, ONE
 
 
 def transfer(
@@ -35,26 +35,37 @@ def transfer(
 
     The target manager must declare every variable in the support of
     the transferred functions (possibly at different levels).  Returns
-    the translated refs, index-aligned with the input.
+    the translated refs, index-aligned with the input.  Runs on an
+    explicit stack, so depth is bounded by heap, not by the interpreter
+    recursion limit.
     """
     name_of = source.name_of_level
-    cache: Dict[int, int] = {}
+    top_branches = source.top_branches
+    # Translations of regular refs; a complemented ref translates to
+    # the complement of its regular ref's translation (ONE is regular).
+    done: Dict[int, int] = {ONE: ONE}
 
-    def walk(ref: int) -> int:
-        if ref == ONE or ref == ZERO:
-            return ref
-        if ref & 1:
-            return walk(ref ^ 1) ^ 1
-        cached = cache.get(ref)
-        if cached is not None:
-            return cached
-        level, then_ref, else_ref = source.top_branches(ref)
-        variable = target.var(name_of(level))
-        result = target.ite(variable, walk(then_ref), walk(else_ref))
-        cache[ref] = result
-        return result
+    def translated(ref: int) -> int:
+        return done[ref & ~1] ^ (ref & 1)
 
-    return [walk(ref) for ref in refs]
+    for root in refs:
+        # Post-order, then-branch first: a ``(ref, None)`` frame visits a
+        # node, ``(ref, variable)`` builds it once both of its children
+        # are done.
+        stack: List[Tuple[int, Optional[int]]] = [(root & ~1, None)]
+        while stack:
+            ref, variable = stack.pop()
+            if variable is not None:
+                _, then_ref, else_ref = top_branches(ref)
+                done[ref] = target.ite(
+                    variable, translated(then_ref), translated(else_ref)
+                )
+            elif ref not in done:
+                level, then_ref, else_ref = top_branches(ref)
+                stack.append((ref, target.var(name_of(level))))
+                stack.append((else_ref & ~1, None))
+                stack.append((then_ref & ~1, None))
+    return [translated(ref) for ref in refs]
 
 
 def is_equiv(

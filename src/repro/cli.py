@@ -28,8 +28,8 @@ Subcommands
     containment, no-new-vars, never-grow, Theorem-7 cube bound).
 ``inject``
     Fault-injection drill: run a heuristic on a manager that fails on
-    schedule (budget trip, recursion failure, cache corruption) and
-    report whether the guard degraded gracefully.
+    schedule (budget trip, cache corruption) and report whether the
+    guard degraded gracefully.
 ``serve``
     Process-isolated minimization service: JSON-lines requests on
     stdin, one JSON result per line on stdout, every heuristic call
@@ -1213,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     inject_parser.add_argument(
         "--fault",
         required=True,
-        choices=["budget", "recursion", "cache"],
+        choices=["budget", "cache"],
         help="failure to inject (see repro.robust.faults)",
     )
     inject_parser.add_argument(
@@ -1478,7 +1478,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--families",
         nargs="+",
         metavar="NAME",
-        help="corpus families (default: all registered)",
+        help="corpus families (default: random_dnf random_dag "
+        "circuit_cone fsm_reach; deep_chain is opt-in)",
     )
     fuzz_parser.add_argument(
         "--methods",

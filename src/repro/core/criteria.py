@@ -109,6 +109,13 @@ def try_match(
     polarity, or None when no match exists.
     """
     g2 = f2 ^ 1 if complemented else f2
+    if criterion is Criterion.OSDM:
+        # Both directions of osdm_matches, with their i-covers.
+        if c1 == ZERO:
+            return g2, c2
+        if c2 == ZERO:
+            return f1, c1
+        return None
     if matches(criterion, manager, f1, c1, g2, c2):
         return i_cover_of_match(criterion, manager, f1, c1, g2, c2)
     if criterion is not Criterion.TSM:

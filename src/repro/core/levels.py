@@ -58,33 +58,35 @@ def gather_at_level(
     exactly at the boundary level are returned (the paper's second
     set-limiting method, minimizing the node count at level *i+1*).
     """
+    level = manager.level
+    branches = manager.branches
     pairs: List[Pair] = []
     paths: Dict[Pair, Path] = {}
     visited = set()
-
-    def walk(f_ref: int, c_ref: int, path: List[int]) -> None:
+    # Depth-first, else-branch first, on an explicit stack: pushing the
+    # then-pair below the else-pair and testing ``visited`` only when a
+    # pair is popped gives the recursive discovery order, each pair
+    # along the first path that reaches it.
+    stack: List[Tuple[int, int, Path]] = [(f, c, ())]
+    while stack:
+        f_ref, c_ref, path = stack.pop()
         key = (f_ref, c_ref)
         if key in visited:
-            return
-        top = min(manager.level(f_ref), manager.level(c_ref))
-        if top >= boundary:
-            visited.add(key)
-            if only_boundary_rooted and manager.level(f_ref) != boundary:
-                return
-            pairs.append(key)
-            full_path = list(path)
-            full_path.extend([PATH_FREE] * (boundary - len(full_path)))
-            paths[key] = tuple(full_path)
-            return
+            continue
         visited.add(key)
-        f_then, f_else = manager.branches(f_ref, top)
-        c_then, c_else = manager.branches(c_ref, top)
-        prefix = list(path)
-        prefix.extend([PATH_FREE] * (top - len(prefix)))
-        walk(f_else, c_else, prefix + [0])
-        walk(f_then, c_then, prefix + [1])
-
-    walk(f, c, [])
+        f_level = level(f_ref)
+        top = min(f_level, level(c_ref))
+        if top >= boundary:
+            if only_boundary_rooted and f_level != boundary:
+                continue
+            pairs.append(key)
+            paths[key] = path + (PATH_FREE,) * (boundary - len(path))
+            continue
+        f_then, f_else = branches(f_ref, top)
+        c_then, c_else = branches(c_ref, top)
+        prefix = path + (PATH_FREE,) * (top - len(path))
+        stack.append((f_then, c_then, prefix + (1,)))
+        stack.append((f_else, c_else, prefix + (0,)))
     return pairs, paths
 
 
@@ -101,29 +103,39 @@ def rebuild_with_replacements(
     result ``(f', c')`` i-covers ``[f, c]`` whenever every replacement
     value i-covers its key.
     """
+    level = manager.level
+    branches = manager.branches
+    make_node = manager.make_node
     cache: Dict[Pair, Pair] = {}
-
-    def walk(f_ref: int, c_ref: int) -> Pair:
-        key = (f_ref, c_ref)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        top = min(manager.level(f_ref), manager.level(c_ref))
-        if top >= boundary:
-            result = replacement.get(key, key)
+    # Post-order, then-pair first, as a recursive rebuild would go: a
+    # ``(None, pair)`` frame reaches a pair, a ``(top, pair)`` frame
+    # rebuilds it once both of its halves are in the cache.
+    stack: List[Tuple[Optional[int], Pair]] = [(None, (f, c))]
+    while stack:
+        top, key = stack.pop()
+        f_ref, c_ref = key
+        if top is None:
+            if key in cache:
+                continue
+            top = min(level(f_ref), level(c_ref))
+            if top >= boundary:
+                cache[key] = replacement.get(key, key)
+                continue
+            f_then, f_else = branches(f_ref, top)
+            c_then, c_else = branches(c_ref, top)
+            stack.append((top, key))
+            stack.append((None, (f_else, c_else)))
+            stack.append((None, (f_then, c_then)))
         else:
-            f_then, f_else = manager.branches(f_ref, top)
-            c_then, c_else = manager.branches(c_ref, top)
-            new_then = walk(f_then, c_then)
-            new_else = walk(f_else, c_else)
-            result = (
-                manager.make_node(top, new_then[0], new_else[0]),
-                manager.make_node(top, new_then[1], new_else[1]),
+            f_then, f_else = branches(f_ref, top)
+            c_then, c_else = branches(c_ref, top)
+            new_then = cache[(f_then, c_then)]
+            new_else = cache[(f_else, c_else)]
+            cache[key] = (
+                make_node(top, new_then[0], new_else[0]),
+                make_node(top, new_then[1], new_else[1]),
             )
-        cache[key] = result
-        return result
-
-    return walk(f, c)
+    return cache[(f, c)]
 
 
 def _solve_fmm(

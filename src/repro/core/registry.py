@@ -223,8 +223,8 @@ def get_heuristic(
     library-wide without code changes.
 
     ``guarded`` wraps the (possibly audited) heuristic with
-    :func:`repro.robust.guard.guard`, so budget trips, recursion
-    failures and contract violations degrade to the identity cover
+    :func:`repro.robust.guard.guard`, so budget trips and contract
+    violations degrade to the identity cover
     ``g = f`` instead of raising.  The default ``None`` defers to the
     ``REPRO_GUARD`` environment switch; passing a
     :class:`~repro.robust.governor.Budget` implies guarding (an

@@ -31,31 +31,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.checked import checking_enabled
-from repro.analysis.errors import (
-    BudgetExceeded,
-    ContractError,
-    InvariantError,
-)
+from repro.analysis.errors import RECOVERABLE_ERRORS
 from repro.bdd.manager import Manager, ONE, ZERO
 from repro.core.criteria import Criterion
 from repro.core.sibling import constrain, sibling_pass
 from repro.core.levels import minimize_at_level
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-
-#: Failures the schedule can degrade through: every intermediate
-#: ``(current_f, current_c)`` pair i-covers the input instance, so when
-#: a step blows a budget or trips an audit the *last completed* pair's
-#: ``current_f`` is still a valid cover of the original ``[f, c]`` —
-#: the schedule can hand back its best safe intermediate instead of
-#: losing the whole call.  (Imported from ``analysis.errors``, not
-#: ``repro.robust``, to keep the core free of robust imports.)
-DEGRADABLE_ERRORS = (
-    BudgetExceeded,
-    ContractError,
-    InvariantError,
-    RecursionError,
-)
 
 
 @dataclass(frozen=True)
@@ -105,12 +87,14 @@ def scheduled_minimize(
 ) -> int:
     """Minimize ``[f, c]`` with the windowed schedule; returns a cover.
 
-    With ``degrade=True`` a failure from :data:`DEGRADABLE_ERRORS` ends
-    the schedule early and the best *safe* intermediate is returned:
-    the ``current_f`` of the last fully completed (and, under
-    ``REPRO_CHECK=1``, audited) window step, or ``f`` itself if that
-    intermediate is no smaller.  Both are covers of ``[f, c]`` by the
-    i-covering invariant, so degradation never trades away correctness.
+    With ``degrade=True`` a failure from
+    :data:`~repro.analysis.errors.RECOVERABLE_ERRORS` (a budget trip or
+    a failed audit) ends the schedule early and the best *safe*
+    intermediate is returned: the ``current_f`` of the last fully
+    completed (and, under ``REPRO_CHECK=1``, audited) window step, or
+    ``f`` itself if that intermediate is no smaller.  Both are covers
+    of ``[f, c]``: every intermediate pair i-covers the input instance,
+    so degradation never trades away correctness.
     """
     if c == ZERO:
         return ONE
@@ -122,7 +106,7 @@ def scheduled_minimize(
             stop_top_down=schedule.stop_top_down,
         ):
             return _scheduled_loop(manager, f, c, schedule, state)
-    except DEGRADABLE_ERRORS:
+    except RECOVERABLE_ERRORS:
         if not degrade:
             raise
         best = state[0]

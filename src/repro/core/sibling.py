@@ -15,10 +15,12 @@ Table 2:
   so the result never gains a variable ``f`` did not depend on.
 
 ``constrain`` (osdm/–/–) and ``restrict`` (osdm/–/nnv) fall out as
-special cases; direct textbook implementations of both are included so
-tests can cross-validate the generic algorithm against them.
+special cases and are defined as exactly those calls; the textbook
+recursions of both live in the test suite as the reference.
 
-Two result conventions are provided:
+One explicit-stack walk over ``(f, c)`` implements Figure 2 (its line
+numbers are marked in the code), so depth is bounded by heap, not by
+the interpreter recursion limit.  Two result conventions are provided:
 
 * :func:`generic_td` follows Figure 2 literally and returns a
   **completely specified cover** (at ``c = 1`` or constant ``f`` it
@@ -33,7 +35,7 @@ Two result conventions are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bdd.manager import Manager, ONE, ZERO, TERMINAL_LEVEL
 from repro.core.criteria import Criterion, try_match
@@ -76,6 +78,170 @@ TABLE2_HEURISTICS: Tuple[SiblingHeuristic, ...] = (
 )
 
 
+# ----------------------------------------------------------------------
+# The pair walk: Figure 2 on an explicit stack
+# ----------------------------------------------------------------------
+# The pair under evaluation lives in locals; each frame is work pending
+# for an ancestor pair:
+#   (_ELSE, f, c)      the else-pair, evaluated after the then-pair
+#   (_JOIN, key, top)  both children done: build the parent node(s)
+#   (_FLIP, key, top)  the complement-matched child done (line 4)
+#   (_TAIL, key)       a one-child step (lines 2 and 3) done: its result
+#                      is the parent's
+_ELSE, _JOIN, _FLIP, _TAIL = range(4)
+
+
+def _walk(
+    manager: Manager,
+    f: int,
+    c: int,
+    criterion: Criterion,
+    match_complement: bool,
+    no_new_vars: bool,
+    lo: int,
+    hi: int,
+    pairs: bool,
+):
+    """Figure 2 over ``(f, c)``, matching only at levels in ``[lo, hi)``.
+
+    Above ``lo`` the walk splits without matching; from ``hi`` down it
+    leaves pairs untouched.  With ``pairs`` every result is a pair
+    ``(f', c')`` that i-covers its input; otherwise it is a cover.
+
+    Pairs are visited in the recursive post-order — the then-pair
+    before the else-pair, the cache probed when a pair is reached — so
+    manager operations, match tests and budget trips happen in the
+    order of the textbook recursion, while depth is bounded by heap
+    rather than by the interpreter recursion limit.
+    """
+    top_branches = manager.top_branches
+    make_node = manager.make_node
+    or_ = manager.or_
+    # Looked up per walk, so a wrapper installed on the module global
+    # (e.g. a profiler's call counter) sees every match test.
+    match = try_match
+    mreg = obs_metrics.active()
+    cache: Dict[Tuple[int, int], object] = {}
+    cache_get = cache.get
+    frames: List[tuple] = []
+    push = frames.append
+    pop = frames.pop
+    then_results: List[object] = []
+    while True:
+        # Line 1: terminal cases return f.  (Only the pair walk reaches
+        # c = 0, by splitting above its window: under every criterion a
+        # child with c = 0 matches its sibling.)
+        if c == ONE or c == ZERO or f == ONE or f == ZERO:
+            result = (f, c) if pairs else f
+        else:
+            key = (f, c)
+            result = cache_get(key)
+            if result is None:
+                # Split both at the top variable (bdd_get_branches): a
+                # function rooted below it is its own cofactor.
+                f_level, f_then, f_else = top_branches(f)
+                c_level, c_then, c_else = top_branches(c)
+                if f_level < c_level:
+                    top = f_level
+                    c_then = c_else = c
+                else:
+                    top = c_level
+                    if f_level > top:
+                        f_then = f_else = f
+                if top >= hi:
+                    # Below the window: the pair stays as it is.
+                    result = cache[key] = key
+                else:
+                    if top < lo:
+                        # Above the window: split without matching.
+                        push((_JOIN, key, top))
+                        push((_ELSE, f_else, c_else))
+                        f, c = f_then, c_then
+                        continue
+                    if no_new_vars and f_level > top:
+                        # Line 2: f is independent of the splitting
+                        # variable; quantify it out of c instead, so
+                        # f's support never grows.
+                        if mreg is not None:
+                            mreg.inc("sibling.new_vars_avoided")
+                        push((_TAIL, key))
+                        c = or_(c_then, c_else)
+                        continue
+                    if mreg is not None and f_level > top and not pairs:
+                        # Splitting on a variable f does not depend on:
+                        # the cover may gain it (Table 2's "new vars";
+                        # counted for covers, not for the window pass).
+                        mreg.inc("sibling.new_vars_introduced")
+                    found = match(
+                        criterion, manager, f_then, c_then, f_else, c_else
+                    )
+                    if found is not None:
+                        # Line 3: a direct sibling match eliminates the
+                        # parent node and its variable.
+                        if mreg is not None:
+                            mreg.inc("sibling.matches_accepted")
+                        push((_TAIL, key))
+                        f, c = found
+                        continue
+                    if match_complement:
+                        found = match(
+                            criterion,
+                            manager,
+                            f_then,
+                            c_then,
+                            f_else,
+                            c_else,
+                            complemented=True,
+                        )
+                        if found is not None:
+                            # Line 4: the then-branch matches the
+                            # complement of the else-branch; the parent
+                            # stays, one child walk suffices.
+                            if mreg is not None:
+                                mreg.inc("sibling.complement_matches")
+                            push((_FLIP, key, top))
+                            f, c = found
+                            continue
+                    # Line 5: no match; walk both children.
+                    if mreg is not None:
+                        mreg.inc("sibling.matches_rejected")
+                    push((_JOIN, key, top))
+                    push((_ELSE, f_else, c_else))
+                    f, c = f_then, c_then
+                    continue
+        # ``result`` is complete: finish the frames waiting on it, then
+        # resume the innermost pending else-pair (if any).
+        while True:
+            if not frames:
+                return result
+            frame = pop()
+            kind = frame[0]
+            if kind == _ELSE:
+                then_results.append(result)
+                _, f, c = frame
+                break
+            key = frame[1]
+            if kind == _JOIN:
+                top = frame[2]
+                then_result = then_results.pop()
+                if pairs:
+                    result = (
+                        make_node(top, then_result[0], result[0]),
+                        make_node(top, then_result[1], result[1]),
+                    )
+                else:
+                    result = make_node(top, then_result, result)
+            elif kind == _FLIP:
+                top = frame[2]
+                if pairs:
+                    branch_f, branch_c = result
+                    result = make_node(top, branch_f, branch_f ^ 1), branch_c
+                else:
+                    result = make_node(top, result, result ^ 1)
+            # Line 6: cache the pair's result.
+            cache[key] = result
+
+
 def generic_td(
     manager: Manager,
     f: int,
@@ -93,211 +259,38 @@ def generic_td(
     """
     if c == ZERO:
         return ONE
-    cache: Dict[Tuple[int, int], int] = {}
-    # One registry/tracer fetch per top-level call; the recursion sees
-    # a bound local (None when observability is off).
-    mreg = obs_metrics.active()
     with obs_trace.span("sibling.generic_td", criterion=criterion.name):
-        return _generic_td(
-            manager, f, c, criterion, match_complement, no_new_vars, cache, mreg
-        )
-
-
-def _generic_td(
-    manager: Manager,
-    f: int,
-    c: int,
-    criterion: Criterion,
-    match_complement: bool,
-    no_new_vars: bool,
-    cache: Dict[Tuple[int, int], int],
-    mreg=None,
-) -> int:
-    # Line 1 of Figure 2: terminal cases return f itself.
-    if c == ONE or manager.is_constant(f):
-        return f
-    key = (f, c)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    f_level = manager.level(f)
-    c_level = manager.level(c)
-    top = min(f_level, c_level)
-    f_then, f_else = manager.branches(f, top)
-    c_then, c_else = manager.branches(c, top)
-    result: int
-    if no_new_vars and f_level > top:
-        # Line 2: f is independent of the splitting variable; quantify
-        # it out of c instead, so f's support never grows.
-        if mreg is not None:
-            mreg.inc("sibling.new_vars_avoided")
-        result = _generic_td(
+        return _walk(
             manager,
             f,
-            manager.or_(c_then, c_else),
+            c,
             criterion,
             match_complement,
             no_new_vars,
-            cache,
-            mreg,
+            0,
+            TERMINAL_LEVEL,
+            False,
         )
-    else:
-        if mreg is not None and f_level > top:
-            # Splitting on a variable f does not depend on: the result
-            # may gain it (the Table 2 "new vars" phenomenon).
-            mreg.inc("sibling.new_vars_introduced")
-        match = try_match(criterion, manager, f_then, c_then, f_else, c_else)
-        if match is not None:
-            # Line 3: direct sibling match eliminates parent and variable.
-            if mreg is not None:
-                mreg.inc("sibling.matches_accepted")
-            result = _generic_td(
-                manager,
-                match[0],
-                match[1],
-                criterion,
-                match_complement,
-                no_new_vars,
-                cache,
-                mreg,
-            )
-        else:
-            complement_match = None
-            if match_complement:
-                complement_match = try_match(
-                    criterion,
-                    manager,
-                    f_then,
-                    c_then,
-                    f_else,
-                    c_else,
-                    complemented=True,
-                )
-            if complement_match is not None:
-                # Line 4: then-branch matches the complement of the
-                # else-branch; the parent stays, one recursion suffices.
-                if mreg is not None:
-                    mreg.inc("sibling.complement_matches")
-                temp = _generic_td(
-                    manager,
-                    complement_match[0],
-                    complement_match[1],
-                    criterion,
-                    match_complement,
-                    no_new_vars,
-                    cache,
-                    mreg,
-                )
-                result = manager.make_node(top, temp, temp ^ 1)
-            else:
-                # Line 5: no match; recurse on both children.
-                if mreg is not None:
-                    mreg.inc("sibling.matches_rejected")
-                temp_then = _generic_td(
-                    manager,
-                    f_then,
-                    c_then,
-                    criterion,
-                    match_complement,
-                    no_new_vars,
-                    cache,
-                    mreg,
-                )
-                temp_else = _generic_td(
-                    manager,
-                    f_else,
-                    c_else,
-                    criterion,
-                    match_complement,
-                    no_new_vars,
-                    cache,
-                    mreg,
-                )
-                result = manager.make_node(top, temp_then, temp_else)
-    cache[key] = result
-    return result
 
 
-# ----------------------------------------------------------------------
-# Textbook constrain / restrict, for cross-validation
-# ----------------------------------------------------------------------
 def constrain(manager: Manager, f: int, c: int) -> int:
     """The constrain operator (generalized cofactor) of Coudert et al.
 
-    Direct implementation of the classic recursion; provably equal to
-    ``generic_td`` with (osdm, no complement, no no-new-vars).
+    Table 2's row (osdm, no complement, no no-new-vars).
     """
-    if c == ZERO:
-        return ONE
-    cache: Dict[Tuple[int, int], int] = {}
-
-    def walk(f_ref: int, c_ref: int) -> int:
-        if c_ref == ONE or manager.is_constant(f_ref):
-            return f_ref
-        key = (f_ref, c_ref)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        top = min(manager.level(f_ref), manager.level(c_ref))
-        f_then, f_else = manager.branches(f_ref, top)
-        c_then, c_else = manager.branches(c_ref, top)
-        if c_else == ZERO:
-            result = walk(f_then, c_then)
-        elif c_then == ZERO:
-            result = walk(f_else, c_else)
-        else:
-            result = manager.make_node(
-                top, walk(f_then, c_then), walk(f_else, c_else)
-            )
-        cache[key] = result
-        return result
-
-    return walk(f, c)
+    return generic_td(manager, f, c, Criterion.OSDM)
 
 
 def restrict(manager: Manager, f: int, c: int) -> int:
     """The restrict operator of Coudert et al.
 
-    Like constrain, but when ``f`` is independent of the splitting
-    variable the variable is existentially quantified out of ``c``;
-    provably equal to ``generic_td`` with (osdm, no complement,
-    no-new-vars).
+    Table 2's row (osdm, no complement, no-new-vars): like constrain,
+    but when ``f`` is independent of the splitting variable the
+    variable is existentially quantified out of ``c``.
     """
-    if c == ZERO:
-        return ONE
-    cache: Dict[Tuple[int, int], int] = {}
-
-    def walk(f_ref: int, c_ref: int) -> int:
-        if c_ref == ONE or manager.is_constant(f_ref):
-            return f_ref
-        key = (f_ref, c_ref)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        f_level = manager.level(f_ref)
-        c_level = manager.level(c_ref)
-        top = min(f_level, c_level)
-        f_then, f_else = manager.branches(f_ref, top)
-        c_then, c_else = manager.branches(c_ref, top)
-        if f_level > top:
-            result = walk(f_ref, manager.or_(c_then, c_else))
-        elif c_else == ZERO:
-            result = walk(f_then, c_then)
-        elif c_then == ZERO:
-            result = walk(f_else, c_else)
-        else:
-            result = manager.make_node(
-                top, walk(f_then, c_then), walk(f_else, c_else)
-            )
-        cache[key] = result
-        return result
-
-    return walk(f, c)
+    return generic_td(manager, f, c, Criterion.OSDM, no_new_vars=True)
 
 
-# ----------------------------------------------------------------------
-# Windowed pair-semantics pass (building block of the scheduler)
-# ----------------------------------------------------------------------
 def sibling_pass(
     manager: Manager,
     f: int,
@@ -316,80 +309,15 @@ def sibling_pass(
     so further transformations retain their freedom (Section 3.4's
     notion of "safe" scheduling).
     """
-    cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    mreg = obs_metrics.active()
-
-    def walk(f_ref: int, c_ref: int) -> Tuple[int, int]:
-        if c_ref == ONE or c_ref == ZERO or manager.is_constant(f_ref):
-            return f_ref, c_ref
-        key = (f_ref, c_ref)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        f_level = manager.level(f_ref)
-        c_level = manager.level(c_ref)
-        top = min(f_level, c_level)
-        if top >= hi:
-            # Below the window: leave untouched.
-            result = (f_ref, c_ref)
-            cache[key] = result
-            return result
-        f_then, f_else = manager.branches(f_ref, top)
-        c_then, c_else = manager.branches(c_ref, top)
-        if top < lo:
-            # Above the window: descend without matching.
-            new_then = walk(f_then, c_then)
-            new_else = walk(f_else, c_else)
-            result = (
-                manager.make_node(top, new_then[0], new_else[0]),
-                manager.make_node(top, new_then[1], new_else[1]),
-            )
-            cache[key] = result
-            return result
-        if no_new_vars and f_level > top:
-            if mreg is not None:
-                mreg.inc("sibling.new_vars_avoided")
-            result = walk(f_ref, manager.or_(c_then, c_else))
-            cache[key] = result
-            return result
-        match = try_match(criterion, manager, f_then, c_then, f_else, c_else)
-        if match is not None:
-            if mreg is not None:
-                mreg.inc("sibling.matches_accepted")
-            result = walk(match[0], match[1])
-            cache[key] = result
-            return result
-        complement_match = None
-        if match_complement:
-            complement_match = try_match(
-                criterion,
-                manager,
-                f_then,
-                c_then,
-                f_else,
-                c_else,
-                complemented=True,
-            )
-        if complement_match is not None:
-            if mreg is not None:
-                mreg.inc("sibling.complement_matches")
-            branch_f, branch_c = walk(complement_match[0], complement_match[1])
-            result = (
-                manager.make_node(top, branch_f, branch_f ^ 1),
-                branch_c,
-            )
-            cache[key] = result
-            return result
-        if mreg is not None:
-            mreg.inc("sibling.matches_rejected")
-        new_then = walk(f_then, c_then)
-        new_else = walk(f_else, c_else)
-        result = (
-            manager.make_node(top, new_then[0], new_else[0]),
-            manager.make_node(top, new_then[1], new_else[1]),
-        )
-        cache[key] = result
-        return result
-
     with obs_trace.span("sibling.pass", criterion=criterion.name, lo=lo, hi=hi):
-        return walk(f, c)
+        return _walk(
+            manager,
+            f,
+            c,
+            criterion,
+            match_complement,
+            no_new_vars,
+            lo,
+            hi,
+            True,
+        )

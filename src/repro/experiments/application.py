@@ -53,8 +53,8 @@ def measure_application_impact(
 ) -> List[ApplicationRun]:
     """Self-equivalence traversal cost per (benchmark, minimizer).
 
-    Every frontier minimizer runs guarded: a budget trip or recursion
-    failure inside one minimization degrades that call to the exact
+    Every frontier minimizer runs guarded: a budget trip or broken
+    contract inside one minimization degrades that call to the exact
     (unminimized) frontier instead of killing the whole traversal.
     ``budget`` optionally bounds each minimization call (see
     :class:`repro.robust.governor.Budget`).

@@ -10,13 +10,13 @@ flushes the computed tables and reclaims the dead nodes left behind by
 the previous heuristic (``gc=False`` falls back to a cache-only flush
 for A/B comparisons; see ``benchmarks/bench_kernel.py``).
 
-Robustness: each heuristic measurement is isolated.  A budget trip,
-recursion failure or contract violation on one cell records
-``sizes[name] = None`` with the reason in ``failures[name]`` and the
-sweep moves on — one pathological instance never loses a run.  With a
-``checkpoint``, every completed :class:`CallResult` is journalled to
-JSONL the moment it is measured, and ``resume=True`` skips the calls
-already on disk (see :mod:`repro.robust.checkpoint`).
+Robustness: each heuristic measurement is isolated.  A budget trip or
+contract violation on one cell records ``sizes[name] = None`` with the
+reason in ``failures[name]`` and the sweep moves on — one pathological
+instance never loses a run.  With a ``checkpoint``, every completed
+:class:`CallResult` is journalled to JSONL the moment it is measured,
+and ``resume=True`` skips the calls already on disk (see
+:mod:`repro.robust.checkpoint`).
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.errors import (
-    BudgetExceeded,
-    ContractError,
-    InvariantError,
-)
+from repro.analysis.errors import RECOVERABLE_ERRORS
 from repro.bdd.manager import Manager
 from repro.core.ispec import ISpec
 from repro.core.lower_bound import cube_lower_bound
@@ -42,15 +38,6 @@ from repro.experiments.calls import (
     collect_suite_calls,
 )
 from repro.obs.metrics import diff_statistics
-
-#: Failures recorded per-cell instead of aborting the sweep.  Anything
-#: else is a genuine programming error and still propagates.
-RECOVERABLE_ERRORS = (
-    BudgetExceeded,
-    ContractError,
-    InvariantError,
-    RecursionError,
-)
 
 
 @dataclass
@@ -112,14 +99,6 @@ class ExperimentResults:
         return sum(len(result.failures) for result in self.results)
 
 
-def _describe_failure(error: BaseException) -> str:
-    if isinstance(error, RecursionError):
-        return "RecursionError: interpreter recursion limit exceeded"
-    text = str(error)
-    name = type(error).__name__
-    return "%s: %s" % (name, text) if text else name
-
-
 def _flush(manager: Manager, gc_roots) -> None:
     """One §4.1.1 flush point: collect, or just clear caches."""
     if gc_roots is None:
@@ -140,6 +119,7 @@ def _measure_call(
 ) -> CallResult:
     """Measure one recorded call across all heuristics, isolated."""
     from repro.robust.governor import governed
+    from repro.robust.guard import describe_error
 
     sizes: Dict[str, Optional[int]] = {}
     runtimes: Dict[str, float] = {}
@@ -163,7 +143,7 @@ def _measure_call(
                 stats_before, manager.statistics()
             )
             sizes[name] = None
-            failures[name] = _describe_failure(error)
+            failures[name] = describe_error(error)
             continue
         runtimes[name] = time.perf_counter() - started
         stats[name] = diff_statistics(stats_before, manager.statistics())

@@ -22,7 +22,7 @@ class Table3Row:
     """One heuristic's aggregate line.
 
     ``failures`` counts calls this heuristic failed on (budget trips,
-    recursion overruns, contract violations); failed cells contribute
+    contract violations); failed cells contribute
     nothing to ``total_size``, so totals with different failure counts
     aggregate different call sets — the Fail column keeps that honest.
     """

@@ -3,17 +3,17 @@
 The paper's experiments (§4.1.1) replay *every* intercepted
 minimization call through all Table 2/3 heuristics.  One pathological
 ``[f, c]`` instance — a quadratic blow-up in ``constrain``, the
-unbounded growth of Proposition 4, a Python ``RecursionError`` on a
-deep BDD — must yield a recorded failure, never a lost sweep.  This
-package provides the four layers that guarantee it:
+unbounded growth of Proposition 4 — must yield a recorded failure,
+never a lost sweep.  This package provides the four layers that
+guarantee it:
 
 :mod:`repro.robust.governor`
     A :class:`Budget` of node creations, ITE steps and wall-clock time,
     enforced through the manager's step hook; exceeding any bound
     raises a typed :class:`repro.analysis.errors.BudgetExceeded`.
 :mod:`repro.robust.guard`
-    :func:`guard` wraps any heuristic so budget trips, recursion
-    failures and invariant violations degrade to the always-valid
+    :func:`guard` wraps any heuristic so budget trips, invariant
+    violations and broken contracts degrade to the always-valid
     identity cover ``g = f`` (Definition 2: ``f·c ≤ f ≤ f + ¬c``),
     optionally retrying on a ladder of escalating budgets.
 :mod:`repro.robust.checkpoint`
@@ -34,19 +34,14 @@ See ``docs/robustness.md`` for the full degradation semantics.
 """
 
 from repro.analysis.errors import (
+    RECOVERABLE_ERRORS,
     BudgetExceeded,
     DeadlineExceeded,
     NodeBudgetExceeded,
-    RecursionBudgetExceeded,
     StepBudgetExceeded,
 )
 from repro.robust.governor import Budget, Governor, governed
-from repro.robust.guard import (
-    RECOVERABLE_ERRORS,
-    GuardedHeuristic,
-    guard,
-    guarding_enabled,
-)
+from repro.robust.guard import GuardedHeuristic, guard, guarding_enabled
 from repro.robust.checkpoint import Checkpoint, CheckpointError
 from repro.robust.chaos import (
     FAULT_SCHEDULES,
@@ -61,7 +56,6 @@ from repro.robust.chaos import (
 from repro.robust.faults import (
     FAULT_BUDGET,
     FAULT_CACHE,
-    FAULT_RECURSION,
     FaultPlan,
     FaultyManager,
 )
@@ -87,11 +81,9 @@ __all__ = [
     "FaultPlan",
     "FaultyManager",
     "FAULT_BUDGET",
-    "FAULT_RECURSION",
     "FAULT_CACHE",
     "BudgetExceeded",
     "NodeBudgetExceeded",
     "StepBudgetExceeded",
     "DeadlineExceeded",
-    "RecursionBudgetExceeded",
 ]

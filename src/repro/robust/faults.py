@@ -8,14 +8,6 @@ ITE steps, counted in execution order) reaches ``at_operation``:
     Raises :class:`~repro.analysis.errors.NodeBudgetExceeded`, as a
     real governor would — proves the budget-degradation path without
     tuning a real budget to a workload.
-``recursion``
-    Raises a raw :class:`RecursionError` mid-operation.  The iterative
-    operator kernels never recurse, so nothing inside the manager
-    absorbs it any more — it propagates like any interpreter-level
-    failure and is caught by the degradation layer (it is in the
-    schedule's ``DEGRADABLE_ERRORS``, the harness's
-    ``RECOVERABLE_ERRORS``, and the guard's caught set), which is
-    exactly the path this fault drills.
 ``cache``
     Silently flips the complement bit of every cached ITE result —
     the nightmare failure: no exception, just wrong answers.  Caught
@@ -40,10 +32,9 @@ from repro.obs.hooks import attach_hook
 
 #: Fault kinds understood by :class:`FaultPlan`.
 FAULT_BUDGET = "budget"
-FAULT_RECURSION = "recursion"
 FAULT_CACHE = "cache"
 
-FAULT_KINDS = (FAULT_BUDGET, FAULT_RECURSION, FAULT_CACHE)
+FAULT_KINDS = (FAULT_BUDGET, FAULT_CACHE)
 
 
 @dataclass(frozen=True)
@@ -117,11 +108,6 @@ class FaultyManager(Manager):
         if plan.kind == FAULT_BUDGET:
             raise NodeBudgetExceeded(
                 "injected: budget trip at operation %d" % self.operations
-            )
-        if plan.kind == FAULT_RECURSION:
-            raise RecursionError(
-                "injected: recursion failure at operation %d"
-                % self.operations
             )
         self._corrupt_ite_cache()
 

@@ -2,19 +2,17 @@
 
 :func:`guard` wraps any heuristic of the registry signature
 ``heuristic(manager, f, c) -> ref`` so that it *cannot* take down its
-caller: on budget exhaustion, recursion failure, invariant violation or
-a broken cover contract, the wrapper returns the identity cover
-``g = f`` — always correct by Definition 2 (``f·c ≤ f ≤ f + ¬c``) —
-and records the failure reason instead of raising.
+caller: on budget exhaustion, invariant violation or a broken cover
+contract, the wrapper returns the identity cover ``g = f`` — always
+correct by Definition 2 (``f·c ≤ f ≤ f + ¬c``) — and records the
+failure reason instead of raising.
 
 Degradation policy
 ------------------
 
-* :class:`~repro.analysis.errors.BudgetExceeded` (including the typed
-  recursion-depth overruns) and raw :class:`RecursionError` are
-  *transient*: with a bigger budget the heuristic might succeed, so
-  the guard optionally retries on a ladder of escalating budgets
-  before falling back.
+* :class:`~repro.analysis.errors.BudgetExceeded` is *transient*: with
+  a bigger budget the heuristic might succeed, so the guard optionally
+  retries on a ladder of escalating budgets before falling back.
 * :class:`~repro.analysis.errors.InvariantError` and
   :class:`~repro.analysis.errors.ContractError` are *deterministic*
   bugs: retrying cannot help, so the guard degrades immediately.
@@ -38,16 +36,6 @@ from repro.robust.governor import Budget, governed
 
 #: Environment variable globally enabling guarded heuristic dispatch.
 ENV_VAR = "REPRO_GUARD"
-
-#: Exception types a guarded execution recovers from.  Everything else
-#: propagates: the guard degrades on *resource* and *contract* failures
-#: only, never on genuine programming errors.
-RECOVERABLE_ERRORS: Tuple[type, ...] = (
-    BudgetExceeded,
-    RecursionError,
-    InvariantError,
-    ContractError,
-)
 
 #: Budget-scale ladder used when ``escalate=True`` and none is given.
 DEFAULT_LADDER: Tuple[float, ...] = (1.0, 4.0, 16.0)
@@ -85,8 +73,8 @@ class GuardedHeuristic:
     ladder:
         Scale factors applied to ``budget`` on successive attempts
         (default: a single attempt at scale 1).  Ignored without a
-        budget — an unbudgeted recursion failure is deterministic, so
-        there is nothing to escalate.
+        budget — an unbudgeted failure is deterministic, so there is
+        nothing to escalate.
     verify:
         Check the result covers ``[f, c]`` (two BDD operations); a
         non-cover degrades like any contract violation.  On by default:
@@ -158,12 +146,6 @@ class GuardedHeuristic:
             except BudgetExceeded as error:
                 reason = self._annotate(
                     describe_error(error), rung, attempt_budget
-                )
-            except RecursionError:
-                reason = self._annotate(
-                    "RecursionError: interpreter recursion limit exceeded",
-                    rung,
-                    attempt_budget,
                 )
             else:
                 return cover

@@ -500,12 +500,6 @@ def _run_cell(
         return failed(describe_error(error), TRANSIENT)
     except BudgetExceeded as error:
         return failed(describe_error(error), TRANSIENT)
-    except RecursionError:
-        host.poison()
-        return failed(
-            "RecursionError: interpreter recursion limit exceeded",
-            TRANSIENT,
-        )
     except MemoryError:
         host.poison()
         return failed(

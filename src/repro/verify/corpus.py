@@ -27,7 +27,15 @@ API:
     where ``R`` is the reached set — the paper's motivating workload.
 
 New families register via :func:`register_family`; each generator maps a
-:class:`CorpusConfig` to exactly ``config.size`` payloads.
+:class:`CorpusConfig` to exactly ``config.size`` payloads.  One more
+ships registered but outside :data:`DEFAULT_FAMILIES`, so the default
+corpus (and its pinned fingerprints) does not move:
+
+``deep_chain``
+    Long single-successor chains over :data:`DEEP_CHAIN_LEVELS` levels,
+    deeper than the default interpreter recursion limit — guards that
+    every heuristic and oracle is limited by heap, not by recursion
+    depth.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bdd.manager import Manager, ZERO
+from repro.bdd.manager import Manager, ONE, ZERO
 from repro.bdd.wire import deserialize_instance, serialize_instance
 
 #: Family generator: config -> exactly ``config.size`` wire payloads.
@@ -244,6 +252,61 @@ def _gen_fsm_reach(config: CorpusConfig) -> List[bytes]:
     return payloads
 
 
+#: Levels of every ``deep_chain`` instance: ``f`` alone, ``c`` alone
+#: and the ``(f, c)`` pair walk are each deeper than the default
+#: interpreter recursion limit of 1000.
+DEEP_CHAIN_LEVELS = 2400
+
+
+def _literal_chain(
+    manager: Manager,
+    levels: Sequence[int],
+    conjunction: bool,
+    rng: random.Random,
+) -> int:
+    """AND (or OR) of one random-polarity literal per level, built
+    bottom-up with ``make_node``: one node per level."""
+    absorbing = ZERO if conjunction else ONE
+    chain = absorbing ^ 1
+    for level in sorted(levels, reverse=True):
+        # A positive literal: AND continues the chain on its then-edge,
+        # OR on its else-edge; the other edge is the absorbing constant.
+        high, low = (chain, absorbing) if conjunction else (absorbing, chain)
+        if rng.random() < 0.5:
+            high, low = low, high
+        chain = manager.make_node(level, high, low)
+    return chain
+
+
+def _gen_deep_chain(config: CorpusConfig) -> List[bytes]:
+    """Chains deeper than the recursion limit (``config.num_vars`` is
+    ignored: depth is the point).
+
+    ``f`` is an AND or OR chain over about half of the levels and ``c``
+    one over the rest, with random literal polarities; the levels are
+    dealt alternately or at random.  ``f`` = AND of the even levels,
+    ``c`` = OR of the odd ones is a member: the shape of long
+    single-successor chains that chain reduction targets.
+    """
+    rng = random.Random(family_seed(config.seed, config.family))
+    payloads: List[bytes] = []
+    for _ in range(config.size):
+        manager = Manager()
+        manager.ensure_vars(DEEP_CHAIN_LEVELS)
+        levels = range(DEEP_CHAIN_LEVELS)
+        if rng.random() < 0.5:
+            first = rng.randrange(2)
+            in_f = [level % 2 == first for level in levels]
+        else:
+            in_f = [rng.random() < 0.5 for _ in levels]
+        f_levels = [level for level in levels if in_f[level]]
+        c_levels = [level for level in levels if not in_f[level]]
+        f = _literal_chain(manager, f_levels, rng.random() < 0.5, rng)
+        c = _literal_chain(manager, c_levels, rng.random() < 0.5, rng)
+        payloads.append(serialize_instance(manager, f, c))
+    return payloads
+
+
 FAMILIES: Dict[str, FamilyGenerator] = {
     "random_dnf": _gen_random_dnf,
     "random_dag": _gen_random_dag,
@@ -259,6 +322,9 @@ def register_family(
     if name in FAMILIES and not replace:
         raise ValueError("corpus family %r already registered" % name)
     FAMILIES[name] = generator
+
+
+register_family("deep_chain", _gen_deep_chain)
 
 
 def unregister_family(name: str) -> None:

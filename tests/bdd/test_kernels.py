@@ -105,6 +105,17 @@ class TestNoRecursionLimitJuggling:
         ]
         assert offenders == []
 
+    def test_no_recursion_error_special_cases_in_src(self):
+        # The heuristic layer is iterative too, so nothing catches,
+        # raises or maps a RecursionError (or a typed stand-in).
+        offenders = [
+            path
+            for path in SRC.rglob("*.py")
+            if "RecursionError" in path.read_text()
+            or "RecursionBudgetExceeded" in path.read_text()
+        ]
+        assert offenders == []
+
 
 class TestBalancedManyOps:
     """and_many/or_many reduce pairwise, not as a left fold."""

@@ -1,5 +1,7 @@
 """Tests for variable reordering: transfer, sifting, exhaustive search."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -57,6 +59,18 @@ class TestTransfer:
                 for name, value in case.items()
             }
             assert manager.eval(f, source_env) == target.eval(copy, target_env)
+
+    def test_chain_deeper_than_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 200
+        manager = Manager()
+        manager.ensure_vars(depth)
+        chain = ONE
+        for level in range(depth - 1, -1, -1):
+            chain = manager.make_node(level, chain, ZERO)
+        target = Manager(manager.var_names)
+        copy, complemented = transfer(manager, target, [chain, chain ^ 1])
+        assert target.size(copy) == depth + 1
+        assert complemented == copy ^ 1
 
     def test_complement_edges_transfer(self):
         manager = Manager(["a", "b"])

@@ -1,20 +1,22 @@
 """Tests for the generic top-down sibling matcher (Figure 2)."""
 
-import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bdd.manager import Manager, ONE, ZERO
 from repro.bdd.parser import parse_expression
 from repro.core.criteria import Criterion
 from repro.core.ispec import ISpec, parse_instance
+from repro.core.levels import gather_at_level, rebuild_with_replacements
 from repro.core.sibling import (
     TABLE2_HEURISTICS,
     constrain,
     generic_td,
-    restrict,
+    sibling_pass,
 )
 
 from tests.conftest import instance_strategy, build_instance
+from tests.core import textbook
 
 
 ALL_PARAMS = [
@@ -123,26 +125,58 @@ class TestComplementMatching:
             assert spec.is_cover(cover)
 
 
+class _Recording(Manager):
+    """A manager that logs every ``make_node`` and ``ite`` call."""
+
+    def __init__(self):
+        self.calls = []
+        super().__init__()
+
+    def make_node(self, level, high, low):
+        self.calls.append(("make_node", level, high, low))
+        return super().make_node(level, high, low)
+
+    def ite(self, f, g, h):
+        self.calls.append(("ite", f, g, h))
+        return super().ite(f, g, h)
+
+
+def _twins(instance):
+    """The instance built in two fresh recording managers.
+
+    Both hold identical refs, so running the library on one and the
+    textbook recursion on the other must give identical results *and*
+    identical manager call logs — the same work, in the same order.
+    """
+    twins = []
+    for _ in range(2):
+        manager = _Recording()
+        f, c = build_instance(manager, *instance)
+        manager.calls.clear()
+        twins.append((manager, f, c))
+    return twins
+
+
 class TestAgainstTextbookOperators:
     """The generic algorithm specializes exactly to constrain/restrict."""
 
     @given(instance_strategy(4, nonzero_care=True))
     @settings(max_examples=60)
     def test_generic_osdm_equals_classic_constrain(self, instance):
-        manager = Manager()
-        f, c = build_instance(manager, *instance)
-        assert generic_td(manager, f, c, Criterion.OSDM) == constrain(
-            manager, f, c
+        (left, f1, c1), (right, f2, c2) = _twins(instance)
+        assert generic_td(left, f1, c1, Criterion.OSDM) == (
+            textbook.constrain(right, f2, c2)
         )
+        assert left.calls == right.calls
 
     @given(instance_strategy(4, nonzero_care=True))
     @settings(max_examples=60)
     def test_generic_osdm_nnv_equals_classic_restrict(self, instance):
-        manager = Manager()
-        f, c = build_instance(manager, *instance)
+        (left, f1, c1), (right, f2, c2) = _twins(instance)
         assert generic_td(
-            manager, f, c, Criterion.OSDM, no_new_vars=True
-        ) == restrict(manager, f, c)
+            left, f1, c1, Criterion.OSDM, no_new_vars=True
+        ) == textbook.restrict(right, f2, c2)
+        assert left.calls == right.calls
 
     def test_constrain_is_shannon_cofactor_on_cube(self):
         """Touati et al.: constrain(f, cube) = f restricted by the cube."""
@@ -152,6 +186,62 @@ class TestAgainstTextbookOperators:
         got = constrain(manager, f, cube)
         expected = manager.restrict_cube(f, {0: True, 1: False})
         assert got == expected
+
+
+class TestAgainstTextbookWalks:
+    """The explicit-stack walks match their recursive statements."""
+
+    @given(
+        instance_strategy(5),
+        st.sampled_from(ALL_PARAMS),
+        st.integers(0, 6),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=80)
+    def test_sibling_pass_windows(self, instance, params, lo, hi):
+        criterion, compl, nnv = params
+        (left, f1, c1), (right, f2, c2) = _twins(instance)
+        got = sibling_pass(left, f1, c1, criterion, compl, nnv, lo, hi)
+        want = textbook.sibling_pass(
+            right, f2, c2, criterion, compl, nnv, lo, hi
+        )
+        assert got == want
+        assert left.calls == right.calls
+
+    @given(instance_strategy(5), st.integers(0, 5), st.data())
+    @settings(max_examples=60)
+    def test_gather_and_rebuild(self, instance, boundary, data):
+        (left, f1, c1), (right, f2, c2) = _twins(instance)
+        pairs, paths = gather_at_level(left, f1, c1, boundary)
+        twin_pairs, twin_paths = textbook.gather_at_level(
+            right, f2, c2, boundary
+        )
+        assert (pairs, paths) == (twin_pairs, twin_paths)
+        # Any map between gathered pairs exercises the substitution;
+        # each twin gets the same map over its own refs.
+        size = len(pairs)
+        targets = data.draw(
+            st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+        )
+        got = rebuild_with_replacements(
+            left,
+            f1,
+            c1,
+            boundary,
+            {pair: pairs[index] for pair, index in zip(pairs, targets)},
+        )
+        want = textbook.rebuild_with_replacements(
+            right,
+            f2,
+            c2,
+            boundary,
+            {
+                pair: twin_pairs[index]
+                for pair, index in zip(twin_pairs, targets)
+            },
+        )
+        assert got == want
+        assert left.calls == right.calls
 
 
 class TestTable2Heuristics:

@@ -9,7 +9,6 @@ from repro.core.sibling import constrain
 from repro.robust.faults import (
     FAULT_BUDGET,
     FAULT_CACHE,
-    FAULT_RECURSION,
     FaultPlan,
     FaultyManager,
 )
@@ -74,44 +73,6 @@ class TestBudgetFault:
         cover = constrain(manager, f, c)
         assert ISpec(manager, f, c).is_cover(cover)
         assert manager.faults_fired == 1
-
-
-class TestRecursionFault:
-    def test_raw_error_propagates(self):
-        # The iterative kernels never recurse, so nothing inside the
-        # manager absorbs a RecursionError any more: it propagates raw,
-        # to be caught by the degradation layer (next test).
-        manager = _faulty(FAULT_RECURSION, at=1)
-        f, c = _build_instance(manager)
-        manager.armed = True
-        with pytest.raises(RecursionError):
-            manager.and_(f, c)
-        assert manager.faults_fired == 1
-
-    def test_retry_succeeds_after_one_shot(self):
-        # One-shot: the fault is spent on the first attempt, so the
-        # caller's own retry — the path RECOVERABLE_ERRORS drills —
-        # completes and agrees with the unfaulted reference.
-        manager = _faulty(FAULT_RECURSION, at=1)
-        f, c = _build_instance(manager)
-        reference = manager.and_(f, c)
-        manager.clear_caches()
-        manager.armed = True
-        with pytest.raises(RecursionError):
-            manager.and_(f, c)
-        assert manager.and_(f, c) == reference
-        assert manager.faults_fired == 1
-
-    def test_guard_degrades_through_recursion_failure(self):
-        # End to end: the guard layer treats RecursionError as a
-        # recoverable failure and falls back to the identity cover.
-        manager = _faulty(FAULT_RECURSION, at=1, repeat=True)
-        f, c = _build_instance(manager)
-        manager.armed = True
-        guarded = guard(constrain, name="constrain")
-        cover = guarded(manager, f, c)
-        assert cover == f
-        assert "RecursionError" in guarded.last_failure
 
 
 class TestCacheFault:

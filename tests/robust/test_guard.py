@@ -93,16 +93,6 @@ class TestDegradation:
         assert seen[0][0] == "osm_bt"
         assert "StepBudgetExceeded" in seen[0][1]
 
-    def test_recursion_error_degrades(self):
-        manager, f, c = _instance()
-
-        def overflows(mgr, ff, cc):
-            raise RecursionError
-
-        guarded = guard(overflows)
-        assert guarded(manager, f, c) == f
-        assert "RecursionError" in guarded.last_failure
-
 
 class TestLadder:
     def test_escalation_succeeds_at_higher_rung(self):

@@ -1,11 +1,14 @@
 """Corpus framework: the pisek determinism contract and the family API."""
 
+import sys
+
 import pytest
 
 from repro.bdd.cover import is_def2_cover
 from repro.bdd.manager import ONE, ZERO
 from repro.verify.corpus import (
     Corpus,
+    DEEP_CHAIN_LEVELS,
     DEFAULT_FAMILIES,
     FAMILIES,
     register_family,
@@ -93,3 +96,32 @@ def test_wrong_size_family_is_an_error():
             Corpus(families=("short_test",), size=2, seed=0).generate()
     finally:
         unregister_family("short_test")
+
+
+class TestDeepChainFamily:
+    def test_registered_but_not_default(self):
+        assert "deep_chain" in FAMILIES
+        assert "deep_chain" not in DEFAULT_FAMILIES
+
+    def test_same_args_and_seed_are_byte_identical(self):
+        def payloads(seed):
+            corpus = Corpus(families=("deep_chain",), size=3, seed=seed)
+            return [instance.payload for instance in corpus.generate()]
+
+        assert payloads(11) == payloads(11)
+        assert payloads(11) != payloads(12)
+
+    def test_chains_are_deeper_than_the_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        corpus = Corpus(families=("deep_chain",), size=3, seed=2026)
+        for instance in corpus.generate():
+            manager, f, c = instance.decode()
+            manager.validate((f, c))
+            # A chain has one node per support variable, so its depth
+            # is its support size.
+            assert len(manager.support(f)) == manager.size(f) - 1 > limit
+            assert len(manager.support(c)) == manager.size(c) - 1 > limit
+            assert manager.support_multi((f, c)) == set(
+                range(DEEP_CHAIN_LEVELS)
+            )
+

@@ -37,6 +37,25 @@ def test_clean_run_is_ok_and_deterministic():
     assert first.corpus_fingerprints == second.corpus_fingerprints
 
 
+def test_deep_chains_pass_oracles_and_lanes():
+    """Chains deeper than the recursion limit: the default fuzz
+    heuristics, the oracles and the in-process lane all complete.  (The
+    permutation oracle, whose reversed-order rebuild is quadratic in the
+    chain length, runs in the CI deep-chain drill instead.)"""
+    from repro.verify.oracles import ORACLE_NAMES
+
+    oracles = tuple(name for name in ORACLE_NAMES if name != "permutation")
+    config = FuzzConfig(
+        seed=2026,
+        size=1,
+        families=("deep_chain",),
+        oracles=oracles,
+        shrink=False,
+    )
+    report = run_fuzz(config)
+    assert report.ok, report.oracle_findings
+
+
 def test_different_seeds_give_different_fingerprints():
     base = dict(methods=("constrain",), shrink=False, **QUICK)
     assert (
