@@ -28,6 +28,16 @@ Five measurements, written to ``BENCH_kernel.json`` next to this file:
     (``gc=False``).  Records the peak unique-table length per mode —
     the collector must run strictly flatter.
 
+``agree_replay``
+    The same capped sweep once more, with every osm/tsm match test and
+    Definition 2 cover check answered twice on the same operands: by
+    the shipped node-free ``Manager.agree`` and by the node-building
+    formula it replaced (``(f ⊕ g)·c`` built, then compared with ZERO).
+    Records the query counts, any verdict mismatch, and both step rates
+    (agree steps/s, formula ITE steps/s).  The formula runs second, so
+    its nodes and ITE-table entries are extra state the heuristics see
+    — covers are unaffected, counters are not.
+
 Run::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py          # full
@@ -35,7 +45,9 @@ Run::
 
 ``--quick`` shrinks the workloads and exits non-zero if the iterative
 kernel falls below ``--min-ratio`` (default 0.9) of the recursive
-throughput — the perf-smoke CI gate.
+throughput, the deep chain fails, gc stops flattening the sweep, the
+sanitizer slowdown reaches its bound, or any replayed verdict of
+``agree`` differs from the formula's — the perf-smoke CI gate.
 """
 
 from __future__ import annotations
@@ -269,6 +281,98 @@ def measure_gc_sweep(max_iterations, benchmarks=None):
     return out
 
 
+# ----------------------------------------------------------------------
+# agree replay
+# ----------------------------------------------------------------------
+def _formula_osm(manager, f1, c1, f2, c2):
+    if manager.and_(c1, c2 ^ 1) != ZERO:
+        return False
+    return manager.and_(manager.xor(f1, f2), c1) == ZERO
+
+
+def _formula_tsm(manager, f1, c1, f2, c2):
+    disagreement = manager.and_(manager.xor(f1, f2), manager.and_(c1, c2))
+    return disagreement == ZERO
+
+
+def _formula_cover(manager, f, c, g):
+    return manager.and_(manager.xor(g, f), c) == ZERO
+
+
+def measure_agree_replay(max_iterations, benchmarks=None):
+    """Answer the capped sweep's match tests and cover checks both ways.
+
+    Returns the record: per-kind query and mismatch counts, and the
+    agree and formula step rates over all replayed queries.
+    """
+    from repro.circuits.suite import QUICK_SUITE
+    from repro.core import criteria, ispec
+    from repro.experiments.calls import collect_suite_calls
+    from repro.experiments.harness import run_heuristics
+
+    kinds = {
+        "osm": (criteria, "osm_matches", _formula_osm),
+        "tsm": (criteria, "tsm_matches", _formula_tsm),
+        "cover": (ispec, "is_def2_cover", _formula_cover),
+    }
+    counts = {kind: {"queries": 0, "mismatches": 0} for kind in kinds}
+    totals = dict.fromkeys(
+        ("agree_seconds", "agree_steps", "formula_seconds", "formula_steps"),
+        0,
+    )
+
+    def replayed(kind, shipped, formula):
+        def both(manager, *args):
+            steps = manager.statistics()["agree_steps"]
+            started = time.perf_counter()
+            verdict = shipped(manager, *args)
+            totals["agree_seconds"] += time.perf_counter() - started
+            stats = manager.statistics()
+            totals["agree_steps"] += stats["agree_steps"] - steps
+            calls = stats["ite_calls"]
+            started = time.perf_counter()
+            reference = formula(manager, *args)
+            totals["formula_seconds"] += time.perf_counter() - started
+            totals["formula_steps"] += (
+                manager.statistics()["ite_calls"] - calls
+            )
+            counts[kind]["queries"] += 1
+            if verdict != reference:
+                counts[kind]["mismatches"] += 1
+            return verdict
+
+        return both
+
+    originals = {
+        kind: getattr(module, name)
+        for kind, (module, name, _) in kinds.items()
+    }
+    for kind, (module, name, formula) in kinds.items():
+        setattr(module, name, replayed(kind, originals[kind], formula))
+    try:
+        records = collect_suite_calls(
+            list(benchmarks or QUICK_SUITE), max_iterations=max_iterations
+        )
+        run_heuristics(records, compute_lower_bound=False)
+    finally:
+        for kind, (module, name, _) in kinds.items():
+            setattr(module, name, originals[kind])
+    return {
+        "kinds": counts,
+        "mismatches": sum(entry["mismatches"] for entry in counts.values()),
+        "agree_steps": totals["agree_steps"],
+        "agree_steps_per_sec": round(
+            totals["agree_steps"] / max(totals["agree_seconds"], 1e-9)
+        ),
+        "agree_seconds": round(totals["agree_seconds"], 3),
+        "formula_ite_steps": totals["formula_steps"],
+        "formula_ite_steps_per_sec": round(
+            totals["formula_steps"] / max(totals["formula_seconds"], 1e-9)
+        ),
+        "formula_seconds": round(totals["formula_seconds"], 3),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -306,7 +410,10 @@ def main(argv=None) -> int:
     rounds = args.rounds or (9 if args.quick else 25)
     num_vars = 10 if args.quick else 12
     depth = 5_000 if args.quick else 20_000
-    max_iterations = 1 if args.quick else 2
+    # Two traversal iterations even in quick mode: the first one's two
+    # calls leave their heuristics nothing to build that the traversal
+    # has not, so neither the gc gate nor the replay would measure.
+    max_iterations = 2
     benchmarks = ["s344", "tlc"] if args.quick else None
 
     # Interleave the two kernels round-robin at the workload level so
@@ -353,7 +460,28 @@ def main(argv=None) -> int:
         )
     )
 
+    replay = measure_agree_replay(max_iterations, benchmarks)
+    print(
+        "agree replay: %s queries, %d mismatches; agree %d steps in "
+        "%.3fs (%.0f steps/s), formula %d ITE steps in %.3fs "
+        "(%.0f steps/s)"
+        % (
+            ", ".join(
+                "%d %s" % (entry["queries"], kind)
+                for kind, entry in replay["kinds"].items()
+            ),
+            replay["mismatches"],
+            replay["agree_steps"],
+            replay["agree_seconds"],
+            replay["agree_steps_per_sec"],
+            replay["formula_ite_steps"],
+            replay["formula_seconds"],
+            replay["formula_ite_steps_per_sec"],
+        )
+    )
+
     record = {
+        "agree_replay": replay,
         "ite_throughput": {
             "iterative_steps_per_sec": round(iterative),
             "recursive_steps_per_sec": round(recursive),
@@ -407,6 +535,11 @@ def main(argv=None) -> int:
         failed.append(
             "gc sweep peak %d is not strictly below the no-gc peak %d"
             % (gc_peak, raw_peak)
+        )
+    if replay["mismatches"]:
+        failed.append(
+            "agree and the node-building formula disagree on %d of the "
+            "replayed queries" % replay["mismatches"]
         )
     for message in failed:
         print("FAIL: %s" % message, file=sys.stderr)

@@ -257,6 +257,7 @@ CONSUMING_METHODS: Tuple[str, ...] = (
     "level",
     "is_constant",
     "leq",
+    "agree",
     "size",
     "size_multi",
     "sat_count",

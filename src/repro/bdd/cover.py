@@ -7,11 +7,13 @@ set.  Every consumer in the repo — :class:`repro.core.ispec.ISpec`, the
 contract auditor, the guard wrapper, the serving pool's reply check, the
 chaos load validator, and the ``repro.verify`` oracle pack — phrases the
 check through these two helpers so the definition lives in one place.
+The verdict is node-free (:meth:`Manager.agree`); only callers that need
+the offending minterms build the disagreement.
 """
 
 from __future__ import annotations
 
-from repro.bdd.manager import Manager, ZERO
+from repro.bdd.manager import Manager
 
 
 def cover_disagreement(manager: Manager, f: int, c: int, g: int) -> int:
@@ -25,5 +27,8 @@ def cover_disagreement(manager: Manager, f: int, c: int, g: int) -> int:
 
 
 def is_def2_cover(manager: Manager, f: int, c: int, g: int) -> bool:
-    """Does ``g`` cover ``[f, c]`` per Definition 2 (``f·c ≤ g ≤ f + ¬c``)?"""
-    return cover_disagreement(manager, f, c, g) == ZERO
+    """Does ``g`` cover ``[f, c]`` per Definition 2 (``f·c ≤ g ≤ f + ¬c``)?
+
+    Builds no node: g and f must agree wherever c holds.
+    """
+    return manager.agree(g, f, c)

@@ -41,6 +41,12 @@ list that ``_make_raw`` recycles, and with ``compact=True`` the parallel
 lists are rebuilt dense (the returned :class:`Remap` translates old refs
 of surviving nodes to their new values).  Unprotected refs not passed as
 roots are invalidated by a sweep — holders must re-derive or protect.
+A collection repeating the last sweep's roots marks nothing: it pops
+the nodes created since, the unique table's tail.
+
+Yes/no questions build nothing: :meth:`Manager.agree` and
+:meth:`Manager.leq` decide ``(f ⊕ g)·c·d = 0`` and ``f ≤ g`` by a
+node-free walk that stops at the first counterexample.
 """
 
 from __future__ import annotations
@@ -60,7 +66,8 @@ TERMINAL_LEVEL = 1 << 30
 
 #: Step-hook event: a node was created in the unique table.
 EVENT_NODE = "node"
-#: Step-hook event: one ITE recursion step was taken.
+#: Step-hook event: one ITE recursion step was taken, or one
+#: :meth:`Manager.agree` state expanded.
 EVENT_ITE = "ite"
 #: Step-hook event: the computed tables were flushed (counters reset).
 EVENT_CLEAR = "clear"
@@ -187,6 +194,14 @@ class Manager:
         self._free: List[int] = []
         self._gc_runs: int = 0
         self._nodes_reclaimed: int = 0
+        # The full root tuple of the last non-compacting collection and
+        # the unique-table length it left: a repeat of those roots can
+        # only reclaim the table's tail (see gc).  None = no such sweep
+        # since creation or the last compaction.
+        self._swept_roots: Optional[Tuple[int, ...]] = None
+        self._swept_live: int = 0
+        # Cumulative agree() states expanded (a node-free walk step).
+        self._agree_steps: int = 0
         # Compaction epoch: bumped by every gc(compact=True).  Refs
         # minted before the bump are only meaningful through the Remap
         # that same collection returned; the RefSanitizer
@@ -413,8 +428,9 @@ class Manager:
 
         The hook is called with :data:`EVENT_NODE` for every node
         created in the unique table, :data:`EVENT_ITE` for every ITE
-        recursion step, and :data:`EVENT_CLEAR` when the computed tables
-        are flushed.  A hook may raise
+        recursion step and every state :meth:`agree` (hence
+        :meth:`leq`) expands, and :data:`EVENT_CLEAR` when the computed
+        tables are flushed.  A hook may raise
         :class:`repro.analysis.errors.BudgetExceeded` to abort the
         in-flight operation; all manager state (unique table, caches)
         remains consistent afterwards because results are only cached
@@ -518,6 +534,14 @@ class Manager:
         is remapped automatically.  Returns ``None`` when not
         compacting.  Must not be called from inside a running operation
         (e.g. from a step hook).
+
+        A non-compacting collection whose full root tuple (``roots``
+        then the protected refs) equals the last non-compacting one's,
+        with no compaction in between, marks nothing: the roots reach
+        exactly the nodes that sweep kept, so every node created since
+        — the unique table's tail, which keeps insertion order — is
+        dead.  Popping that tail leaves the same table, free list and
+        counters as the full mark would.
         """
         from repro.obs import trace as obs_trace
 
@@ -525,21 +549,37 @@ class Manager:
         with obs_trace.span(
             "manager.gc", roots=len(root_refs), compact=compact
         ):
-            marked = self.nodes_reachable(root_refs)
-            marked.add(0)
+            unique = self._unique
+            repeat = not compact and root_refs == self._swept_roots
+            if not repeat:
+                marked = self.nodes_reachable(root_refs)
+                marked.add(0)
             self.clear_caches()
-            if compact:
+            remap = None
+            if repeat:
+                tail = [
+                    unique.popitem()[1]
+                    for _ in range(len(unique) - self._swept_live)
+                ]
+                tail.reverse()
+                self._free.extend(tail)
+                reclaimed = len(tail)
+            elif compact:
                 remap, reclaimed = self._compact(marked)
                 self._gc_generation += 1
             else:
-                remap = None
                 reclaimed = 0
                 free = self._free
-                for key, index in list(self._unique.items()):
+                for key, index in list(unique.items()):
                     if index not in marked:
-                        del self._unique[key]
+                        del unique[key]
                         free.append(index)
                         reclaimed += 1
+            if compact:
+                self._swept_roots = None
+            else:
+                self._swept_roots = root_refs
+                self._swept_live = len(self._unique)
             self._gc_runs += 1
             self._nodes_reclaimed += reclaimed
         return remap
@@ -619,9 +659,10 @@ class Manager:
         original point-in-time readings and keep their exact meaning.
         The cumulative counters (``ite_calls``, ``ite_cache_hits``,
         ``ite_cache_misses``, ``nodes_created``, ``peak_nodes``,
-        ``gc_runs``, ``nodes_reclaimed``) count since manager creation
-        and survive :meth:`clear_caches` — per-heuristic deltas are
-        taken with :func:`repro.obs.metrics.diff_statistics`.
+        ``gc_runs``, ``nodes_reclaimed``, ``agree_steps``) count since
+        manager creation and survive :meth:`clear_caches` —
+        per-heuristic deltas are taken with
+        :func:`repro.obs.metrics.diff_statistics`.
         ``live_nodes`` counts allocated nodes (terminal included) and
         ``free_list`` the swept slots awaiting reuse; their sum is
         ``num_nodes`` between collections.  When a metrics registry is
@@ -642,6 +683,7 @@ class Manager:
             "free_list": len(self._free),
             "gc_runs": self._gc_runs,
             "nodes_reclaimed": self._nodes_reclaimed,
+            "agree_steps": self._agree_steps,
         }
         counting = self._metrics is not None
         for name, cache in sorted(self._op_caches.items()):
@@ -964,8 +1006,133 @@ class Manager:
         return items[0]
 
     def leq(self, f: int, g: int) -> bool:
-        """Containment test: ``f ≤ g`` (f implies g)."""
-        return self.and_(f, g ^ 1) == ZERO
+        """Containment test: ``f ≤ g`` (f implies g); builds no node.
+
+        ``f ≤ g`` iff g agrees with ONE wherever f holds, so this is
+        ``agree(g, ONE, f)`` (CUDD's ``Cudd_bddLeq``).
+        """
+        return self.agree(g, ONE, f)
+
+    def agree(self, f: int, g: int, c: int, d: int = ONE) -> bool:
+        """Do ``f`` and ``g`` agree wherever ``c·d`` holds?
+
+        Decides ``(f ⊕ g)·c·d = 0`` (CUDD's ``Cudd_EquivDC``, with a
+        second care operand) without creating a node: an explicit-stack
+        walk over the four cofactors that stops at the first care
+        minterm where f and g differ.  Each state it expands fires
+        :data:`EVENT_ITE` and counts in ``agree_steps``, so step
+        budgets, deadlines and fault schedules see the work.
+
+        The memo is the named cache ``"agree"`` (flushed with every
+        other computed table); the ITE table is never read.  Entries are
+        written only once a walk finishes, so a hook that aborts it
+        leaves none behind.
+        """
+        level_list = self._level
+        high_list = self._high
+        low_list = self._low
+        memo = self.cache("agree")
+        memo_get = memo.get
+        # States this walk expanded: all agree once it finishes clean.
+        expanded: Set[Tuple[int, int, int, int]] = set()
+        stack = [(f, g, c, d)]
+        push = stack.append
+        pop = stack.pop
+        root = None
+        steps = 0
+        try:
+            while stack:
+                f, g, c, d = pop()
+                if f == g or c == ZERO or d == ZERO:
+                    continue
+                # Normalize the care pair: d is ONE unless both are
+                # proper and distinct, and then c > d.
+                if c == d:
+                    d = ONE
+                elif c == (d ^ 1):
+                    continue
+                elif c == ONE:
+                    c, d = d, ONE
+                elif c < d:
+                    c, d = d, c
+                if c == ONE:
+                    # Every minterm is cared for, and f != g.
+                    break
+                # Normalize the pair: f < g with f regular
+                # (f ⊕ g = ¬f ⊕ ¬g).
+                if f > g:
+                    f, g = g, f
+                if f & 1:
+                    f ^= 1
+                    g ^= 1
+                if f == ONE and (g == c or g == d):
+                    # The disagreement is ¬g, outside the care set.
+                    continue
+                if f == (g ^ 1) and d == ONE:
+                    # They differ everywhere and c is not ZERO.
+                    break
+                key = (f, g, c, d)
+                if key in expanded:
+                    continue
+                known = memo_get(key)
+                if known is not None:
+                    if known:
+                        continue
+                    break
+                steps += 1
+                hook = self._step_hook
+                if hook is not None:
+                    hook(EVENT_ITE)
+                expanded.add(key)
+                if root is None:
+                    root = key
+                f_index = f >> 1
+                g_index = g >> 1
+                c_index = c >> 1
+                d_index = d >> 1
+                top = level_list[f_index]
+                level = level_list[g_index]
+                if level < top:
+                    top = level
+                level = level_list[c_index]
+                if level < top:
+                    top = level
+                level = level_list[d_index]
+                if level < top:
+                    top = level
+                if level_list[f_index] == top:
+                    f_then = high_list[f_index]
+                    f_else = low_list[f_index]
+                else:
+                    f_then = f_else = f
+                if level_list[g_index] == top:
+                    complement = g & 1
+                    g_then = high_list[g_index] ^ complement
+                    g_else = low_list[g_index] ^ complement
+                else:
+                    g_then = g_else = g
+                if level_list[c_index] == top:
+                    complement = c & 1
+                    c_then = high_list[c_index] ^ complement
+                    c_else = low_list[c_index] ^ complement
+                else:
+                    c_then = c_else = c
+                if level_list[d_index] == top:
+                    complement = d & 1
+                    d_then = high_list[d_index] ^ complement
+                    d_else = low_list[d_index] ^ complement
+                else:
+                    d_then = d_else = d
+                push((f_else, g_else, c_else, d_else))
+                push((f_then, g_then, c_then, d_then))
+            else:
+                memo.update(dict.fromkeys(expanded, True))
+                return True
+            if root is not None:
+                memo[root] = False
+            return False
+        finally:
+            self._agree_steps += steps
 
     # ------------------------------------------------------------------
     # Cofactors and quantification

@@ -869,6 +869,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         % sum(cell.get("ite_calls", 0) for cell in totals.values())
     )
     print(
+        "total agree steps: %d"
+        % sum(cell.get("agree_steps", 0) for cell in totals.values())
+    )
+    print(
         "total ite cache hits: %d"
         % sum(cell.get("ite_cache_hits", 0) for cell in totals.values())
     )

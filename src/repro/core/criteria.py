@@ -41,16 +41,13 @@ def osdm_matches(manager: Manager, f1: int, c1: int, f2: int, c2: int) -> bool:
 
 
 def osm_matches(manager: Manager, f1: int, c1: int, f2: int, c2: int) -> bool:
-    """One-sided match (Definition 5.2)."""
-    if not manager.leq(c1, c2):
-        return False
-    return manager.and_(manager.xor(f1, f2), c1) == ZERO
+    """One-sided match (Definition 5.2); builds no node."""
+    return manager.leq(c1, c2) and manager.agree(f1, f2, c1)
 
 
 def tsm_matches(manager: Manager, f1: int, c1: int, f2: int, c2: int) -> bool:
-    """Two-sided match (Definition 5.3)."""
-    disagreement = manager.and_(manager.xor(f1, f2), manager.and_(c1, c2))
-    return disagreement == ZERO
+    """Two-sided match (Definition 5.3); builds no node."""
+    return manager.agree(f1, f2, c1, c2)
 
 
 def matches(

@@ -64,17 +64,15 @@ class ISpec:
         Holds iff ``other.c ≤ self.c`` and the two agree on ``other.c``.
         """
         manager = self.manager
-        if not manager.leq(other.c, self.c):
-            return False
-        disagreement = manager.and_(manager.xor(self.f, other.f), other.c)
-        return disagreement == ZERO
+        return manager.leq(other.c, self.c) and manager.agree(
+            self.f, other.f, other.c
+        )
 
     def equivalent(self, other: "ISpec") -> bool:
         """Same care set and same values on it (the paper's equality)."""
-        manager = self.manager
-        if self.c != other.c:
-            return False
-        return manager.and_(manager.xor(self.f, other.f), self.c) == ZERO
+        return self.c == other.c and self.manager.agree(
+            self.f, other.f, self.c
+        )
 
     def care_is_cube(self) -> bool:
         """Is the care function a cube?  (Theorem 7's hypothesis.)"""

@@ -8,7 +8,9 @@ does exactly that via :meth:`Manager.gc` — a real mark-and-sweep
 collection rooted at the record's recorded instances, which both
 flushes the computed tables and reclaims the dead nodes left behind by
 the previous heuristic (``gc=False`` falls back to a cache-only flush
-for A/B comparisons; see ``benchmarks/bench_kernel.py``).
+for A/B comparisons; see ``benchmarks/bench_kernel.py``).  Every flush
+of a record passes the same root tuple, so after its first one the
+collector skips the mark and reclaims just the nodes created since.
 
 Robustness: each heuristic measurement is isolated.  A budget trip or
 contract violation on one cell records ``sizes[name] = None`` with the
@@ -390,8 +392,9 @@ def run_heuristics(
     """Measure every heuristic on every recorded call.
 
     With ``verify_covers`` each result is checked to actually cover its
-    instance — a paranoia bit that has caught real bugs and costs two
-    BDD operations per measurement; a non-cover records a failed cell.
+    instance — a paranoia bit that has caught real bugs and costs one
+    node-free ``agree`` walk per measurement; a non-cover records a
+    failed cell.
     ``budget`` (a :class:`repro.robust.governor.Budget`) bounds each
     individual heuristic call.  ``checkpoint`` (a path or
     :class:`repro.robust.checkpoint.Checkpoint`) journals completed

@@ -165,16 +165,16 @@ def render_stats(results: ExperimentResults) -> str:
     totals = aggregate_stats(results)
     if not totals:
         return "No statistics snapshots recorded."
-    keys = ("ite_calls", "ite_cache_hits", "ite_cache_misses",
-            "nodes_created", "peak_nodes")
+    keys = ("ite_calls", "agree_steps", "ite_cache_hits",
+            "ite_cache_misses", "nodes_created", "peak_nodes")
     rows = [
         [name] + [str(totals[name].get(key, 0)) for key in keys]
         for name in results.heuristics
         if name in totals
     ]
     return render_table(
-        ["Heuristic", "ITE calls", "Cache hits", "Cache misses",
-         "Nodes created", "Peak nodes"],
+        ["Heuristic", "ITE calls", "Agree steps", "Cache hits",
+         "Cache misses", "Nodes created", "Peak nodes"],
         rows,
         title="BDD engine counters per heuristic",
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.bdd.manager import Manager, ZERO
+from repro.bdd.manager import Manager
 from repro.core.registry import get_heuristic
 from repro.fsm.machine import Fsm
 from repro.fsm.reachability import reachable_states
@@ -122,12 +122,9 @@ def sequentially_equivalent(
     if reached is None:
         reached = reachable_states(original).reached
     for before, after in zip(original.next_fns, optimized.next_fns):
-        disagrees = manager.and_(manager.xor(before, after), reached)
-        if disagrees != ZERO:
+        if not manager.agree(before, after, reached):
             return False
-    for name, before in original.output_fns.items():
-        after = optimized.output_fns[name]
-        disagrees = manager.and_(manager.xor(before, after), reached)
-        if disagrees != ZERO:
-            return False
-    return True
+    return all(
+        manager.agree(before, optimized.output_fns[name], reached)
+        for name, before in original.output_fns.items()
+    )

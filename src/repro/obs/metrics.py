@@ -50,6 +50,7 @@ CUMULATIVE_STATISTICS = frozenset(
         "nodes_created",
         "gc_runs",
         "nodes_reclaimed",
+        "agree_steps",
     }
 )
 

@@ -2,7 +2,8 @@
 
 :class:`FaultyManager` is a :class:`~repro.bdd.manager.Manager` that
 fires a scheduled failure when its operation counter (node creations +
-ITE steps, counted in execution order) reaches ``at_operation``:
+ITE steps + ``agree`` steps, counted in execution order) reaches
+``at_operation``:
 
 ``budget``
     Raises :class:`~repro.analysis.errors.NodeBudgetExceeded`, as a
@@ -11,10 +12,9 @@ ITE steps, counted in execution order) reaches ``at_operation``:
 ``cache``
     Silently flips the complement bit of every cached ITE result —
     the nightmare failure: no exception, just wrong answers.  Caught
-    by :func:`repro.robust.guard.guard` with
-    ``flush_before_verify=True`` (the cover check recomputes on clean
-    tables) and curable with
-    :meth:`~repro.bdd.manager.Manager.clear_caches`.
+    by :func:`repro.robust.guard.guard`, whose cover check is a
+    node-free ``agree`` walk that never reads the ITE table, and
+    curable with :meth:`~repro.bdd.manager.Manager.clear_caches`.
 
 Faults are scheduled on a deterministic counter, not wall clock or
 randomness, so every drill replays identically — a failing degradation
@@ -66,7 +66,8 @@ class FaultyManager(Manager):
 
     ``operations`` counts unique-table lookups (every ``make_node``
     reaching :meth:`_make_raw`, including during variable declaration)
-    plus ITE kernel steps, in execution order; ``faults_fired`` counts
+    plus ITE kernel and ``agree`` steps (every :data:`EVENT_ITE`), in
+    execution order; ``faults_fired`` counts
     injections so far.  The iterative kernel expands frames in the
     recursive post-order, so operation numbers — and therefore fault
     schedules — are unchanged from the recursive implementation.

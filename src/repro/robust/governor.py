@@ -51,8 +51,13 @@ DEADLINE_CHECK_INTERVAL = 64
 class Budget:
     """Resource bounds for one governed computation.
 
-    Every field is optional; ``None`` means unbounded.  ``deadline`` is
-    wall-clock seconds from governor start (or the last counter reset).
+    Every field is optional; ``None`` means unbounded.  ``max_nodes``
+    counts unique-table node creations.  ``max_steps`` counts
+    :data:`~repro.bdd.manager.EVENT_ITE` events: ITE kernel steps and
+    the states :meth:`~repro.bdd.manager.Manager.agree` expands (so
+    node-free match tests and cover checks are budgeted too).
+    ``deadline`` is wall-clock seconds from governor start (or the last
+    counter reset).
     """
 
     max_nodes: Optional[int] = None

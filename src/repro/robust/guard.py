@@ -76,7 +76,7 @@ class GuardedHeuristic:
         budget — an unbudgeted failure is deterministic, so there is
         nothing to escalate.
     verify:
-        Check the result covers ``[f, c]`` (two BDD operations); a
+        Check the result covers ``[f, c]`` (one node-free walk); a
         non-cover degrades like any contract violation.  On by default:
         a guard that can return wrong answers is not a guard.
     flush_before_verify:

@@ -726,7 +726,7 @@ class MinimizationPool:
         available (inherits the parent's registry, including
         test-registered heuristics) and ``spawn`` elsewhere.
     verify:
-        Re-check returned covers in the parent (two BDD operations) —
+        Re-check returned covers in the parent (one node-free walk) —
         the child already verifies, but the parent does not have to
         trust a worker that may have corrupted itself.  Applies to the
         manager-level APIs (:meth:`minimize` / :meth:`run_batch` /

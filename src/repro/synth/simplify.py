@@ -111,26 +111,21 @@ def simplify_netlist(
         size_after = manager.size(candidate)
         replaced = size_after < size_before
         if replaced and signal in output_set:
-            disagrees = manager.and_(
-                manager.xor(candidate, original), external_care
-            )
-            replaced = disagrees == ZERO
+            replaced = manager.agree(candidate, original, external_care)
         elif replaced and verify:
             trial = dict(accepted)
             trial[signal] = candidate
             substituted = netlist.to_bdds(
                 manager, input_refs, overrides=trial
             )
-            for output in outputs:
-                disagrees = manager.and_(
-                    manager.xor(
-                        substituted[output], original_values[output]
-                    ),
+            replaced = all(
+                manager.agree(
+                    substituted[output],
+                    original_values[output],
                     external_care,
                 )
-                if disagrees != ZERO:
-                    replaced = False
-                    break
+                for output in outputs
+            )
         if replaced:
             accepted[signal] = candidate
             report.functions[signal] = candidate

@@ -1,11 +1,13 @@
 """Mark-and-sweep collection, protection, free lists and compaction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.checked import CheckedManager
 from repro.analysis.errors import InvariantError
 from repro.bdd.manager import Manager, ONE, ZERO
 from repro.bdd.wire import deserialize, serialize
+from tests.conftest import count_gc_marks
 
 
 def _manager(num_vars=8):
@@ -286,3 +288,126 @@ class TestScheduleGc:
 
         with pytest.raises(ValueError):
             Schedule(gc_interval=0)
+
+
+#: Operations of the twin-manager drill (see TestRepeatRootSweep).
+TWIN_OPS = ("build", "keep", "drop", "protect", "unprotect", "new_var", "gc")
+
+
+class _Twin:
+    """One side of the drill: a manager, its live roots and its pins.
+
+    ``full_mark`` twins present their roots in alternating order (after
+    a constant pair, so the tuple differs from the previous one), which
+    forces every collection through the full mark.
+    """
+
+    def __init__(self, full_mark):
+        self.manager = _manager(4)
+        self.full_mark = full_mark
+        self.roots = []
+        self.pinned = []
+        self.collections = 0
+
+    def gc_roots(self):
+        if not self.full_mark:
+            return tuple(self.roots)
+        roots = (ONE, ZERO) + tuple(self.roots)
+        self.collections += 1
+        return roots if self.collections % 2 else roots[::-1]
+
+    def apply(self, op, a, b):
+        manager = self.manager
+        operands = [manager.var(level) for level in range(manager.num_vars)]
+        operands += self.roots
+        x = operands[a % len(operands)]
+        y = operands[b % len(operands)]
+        if op == "build":
+            manager.xor(manager.and_(x, y ^ (a & 1)), manager.or_(y, x))
+        elif op == "keep":
+            made = manager.ite(x, y, manager.var(b % manager.num_vars) ^ 1)
+            if made not in (ONE, ZERO):
+                self.roots.append(made)
+        elif op == "drop" and self.roots:
+            self.roots.pop(a % len(self.roots))
+        elif op == "protect" and self.roots:
+            self.pinned.append(manager.protect(self.roots[a % len(self.roots)]))
+        elif op == "unprotect" and self.pinned:
+            manager.unprotect(self.pinned.pop(a % len(self.pinned)))
+        elif op == "new_var":
+            manager.new_var()
+        elif op == "gc":
+            manager.gc(self.gc_roots())
+
+    def compact(self):
+        remap = self.manager.gc(self.gc_roots(), compact=True)
+        self.roots = [remap(ref) for ref in self.roots]
+        self.pinned = [remap(ref) for ref in self.pinned]
+
+    def state(self):
+        manager = self.manager
+        return (
+            list(manager._unique.items()),
+            list(manager._free),
+            manager.statistics(),
+        )
+
+
+class TestRepeatRootSweep:
+    """A collection repeating the last roots pops the table's tail; it
+    must leave exactly what the full mark leaves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(TWIN_OPS),
+                st.integers(0, 63),
+                st.integers(0, 63),
+            ),
+            max_size=40,
+        ),
+        st.integers(0, 40),
+    )
+    def test_twin_managers_stay_identical(self, ops, compact_at):
+        fast = _Twin(full_mark=False)
+        full = _Twin(full_mark=True)
+        marks = count_gc_marks(full.manager)
+        for position, (op, a, b) in enumerate(ops):
+            if position == compact_at:
+                fast.compact()
+                full.compact()
+            fast.apply(op, a, b)
+            full.apply(op, a, b)
+            if op == "gc":
+                # Repeating the gc exercises the repeat-root path on
+                # the fast twin whatever came before.
+                fast.apply("build", a, b)
+                full.apply("build", a, b)
+                fast.apply("gc", a, b)
+                full.apply("gc", a, b)
+            assert fast.state() == full.state()
+        # The full twin never took the repeat-root path.
+        assert len(marks) == full.collections
+
+    def test_repeat_roots_skip_the_mark(self):
+        manager = _manager()
+        keep = manager.and_(manager.var(0), manager.var(1))
+        _build_garbage(manager)
+        manager.gc((keep,))
+        marks = count_gc_marks(manager)
+        _build_garbage(manager)
+        manager.gc((keep,))
+        assert marks == []
+        # Only keep's two nodes and the terminal are left.
+        assert manager.statistics()["live_nodes"] == 3
+        # New roots, a new pin or a compaction all need the mark.
+        manager.gc((keep, manager.var(2)))
+        assert marks == [1]
+        manager.protect(keep)
+        manager.gc((keep, manager.var(2)))
+        assert marks == [1, 1]
+        keep = manager.gc((keep, manager.var(2)), compact=True)(keep)
+        assert marks == [1, 1, 1]
+        manager.gc((keep, manager.var(2)))
+        assert marks == [1, 1, 1, 1]

@@ -69,3 +69,35 @@ def build_instance(manager, f_leaves, c_leaves):
         bdd_from_leaves(manager, f_leaves),
         bdd_from_leaves(manager, c_leaves),
     )
+
+
+def count_gc_marks(manager, roots=()) -> list:
+    """A list that grows by one for every reachability mark on ``manager``.
+
+    Spies on the instance's ``nodes_reachable`` (the collector's mark)
+    and counts the walks whose refs start with ``roots`` — but not
+    while ``validate`` runs, so a ``CheckedManager``'s post-collection
+    audit is not mistaken for a mark.
+    """
+    marks: list = []
+    validating: list = []
+    mark = manager.nodes_reachable
+    validate = manager.validate
+    roots = tuple(roots)
+
+    def counted_mark(refs):
+        refs = tuple(refs)
+        if not validating and refs[: len(roots)] == roots:
+            marks.append(1)
+        return mark(refs)
+
+    def uncounted_validate(refs):
+        validating.append(1)
+        try:
+            return validate(refs)
+        finally:
+            validating.pop()
+
+    manager.nodes_reachable = counted_mark
+    manager.validate = uncounted_validate
+    return marks

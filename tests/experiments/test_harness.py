@@ -22,6 +22,7 @@ from repro.experiments.figure3 import (
     y_intercepts,
 )
 from repro.experiments.report import render_table
+from tests.conftest import count_gc_marks
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,21 @@ class TestHarness:
             assert result.sizes["_broken"] is None
             assert "non-cover" in result.failures["_broken"]
             assert result.min_size == result.f_size
+
+
+    def test_serial_sweep_marks_each_record_once(self):
+        (record,) = collect_suite_calls(["tlc"])
+        manager = record.manager
+        roots = tuple(ref for call in record.calls for ref in (call.f, call.c))
+        # Rooted at the record's instances: cover sizes walk too.
+        marks = count_gc_marks(manager, roots)
+        before = manager.statistics()["gc_runs"]
+        run_heuristics([record], cube_limit=100)
+        flushes = manager.statistics()["gc_runs"] - before
+        # One flush per heuristic cell plus one before each lower bound,
+        # all rooted at the same record: only the first one marks.
+        assert flushes == len(record.calls) * (len(PAPER_HEURISTICS) + 1)
+        assert len(marks) == 1
 
 
 class TestTable3:

@@ -29,6 +29,16 @@ def _instance():
     return manager, f, care
 
 
+def _ladder_instance():
+    """An [f, c] instance on which osm_bt needs ~70 steps (ITE plus
+    agree), well past 16x a one-step budget."""
+    manager = Manager(var_names=list("abcdefgh"))
+    v = [manager.var(level) for level in range(8)]
+    f = manager.or_many(manager.and_(v[i], v[i + 1]) for i in range(0, 8, 2))
+    care = manager.or_many(manager.xor(v[i], v[i + 4]) for i in range(4))
+    return manager, f, care
+
+
 class TestDegradation:
     def test_budget_trip_degrades_to_identity(self):
         manager, f, c = _instance()
@@ -116,7 +126,7 @@ class TestLadder:
         assert ISpec(manager, f, c).is_cover(cover)
 
     def test_exhausted_ladder_degrades(self):
-        manager, f, c = _instance()
+        manager, f, c = _ladder_instance()
         guarded = guard(
             HEURISTICS["osm_bt"],
             budget=Budget(max_steps=1),
@@ -195,7 +205,7 @@ class TestGuardFactory:
 
 class TestAttemptAccounting:
     def test_attempts_count_ladder_rungs(self):
-        manager, f, c = _instance()
+        manager, f, c = _ladder_instance()
         guarded = guard(
             HEURISTICS["osm_bt"],
             budget=Budget(max_steps=1),
@@ -215,7 +225,7 @@ class TestAttemptAccounting:
         assert guarded.last_attempts == 1
 
     def test_reason_names_the_failing_rung_and_budget(self):
-        manager, f, c = _instance()
+        manager, f, c = _ladder_instance()
         guarded = guard(
             HEURISTICS["osm_bt"],
             budget=Budget(max_steps=1),

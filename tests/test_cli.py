@@ -213,6 +213,7 @@ class TestObservability:
             [
                 "metrics",
                 "tlc",
+                "styr",
                 "--heuristics",
                 "constrain",
                 "osm_bt",
@@ -224,17 +225,19 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "BDD engine counters per heuristic" in out
         assert "total ite calls:" in out
-        # The acceptance bar: a sweep shows non-zero engine activity.
-        total_line = next(
-            line for line in out.splitlines()
-            if line.startswith("total ite calls:")
-        )
-        assert int(total_line.split(":")[1]) > 0
-        hits_line = next(
-            line for line in out.splitlines()
-            if line.startswith("total ite cache hits:")
-        )
-        assert int(hits_line.split(":")[1]) > 0
+
+        def total(label):
+            line = next(
+                line for line in out.splitlines() if line.startswith(label)
+            )
+            return int(line.split(":")[1])
+
+        # The acceptance bar: a sweep shows non-zero engine activity —
+        # ITE calls plus the match tests' agree steps.
+        assert total("total ite calls:") + total("total agree steps:") > 0
+        # tlc's constrain/osm_bt cells do no ITE work at all; styr's
+        # osm_bt cells do, and reuse the ITE table.
+        assert total("total ite cache hits:") > 0
 
     def test_observability_flags_parse(self):
         args = build_parser().parse_args(
