@@ -1,6 +1,6 @@
 """Kernel and collector baseline: the first recorded perf trajectory.
 
-Five measurements, written to ``BENCH_kernel.json`` next to this file:
+Six measurements, written to ``BENCH_kernel.json`` next to this file:
 
 ``ite_throughput``
     ITE kernel steps per second on a cache-cold random-function
@@ -38,6 +38,16 @@ Five measurements, written to ``BENCH_kernel.json`` next to this file:
     its nodes and ITE-table entries are extra state the heuristics see
     — covers are unaffected, counters are not.
 
+``relation_image``
+    Product-machine self-equivalence by the relation image (tbk in
+    ``--quick`` mode, s344 and s1238 in full mode).  The transition
+    relation is built by the shipped ``transition_relation`` and, in a
+    fresh manager, by the deepest-latch-first left fold it replaced;
+    each build records its seconds, nodes created and the relation's
+    size.  ``check_equivalence`` with ``image_by_relation`` then runs
+    on the shipped relation, and a full cyclic collection afterwards
+    counts the quantification memo keys the collector still tracks.
+
 Run::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py          # full
@@ -46,8 +56,12 @@ Run::
 ``--quick`` shrinks the workloads and exits non-zero if the iterative
 kernel falls below ``--min-ratio`` (default 0.9) of the recursive
 throughput, the deep chain fails, gc stops flattening the sweep, the
-sanitizer slowdown reaches its bound, or any replayed verdict of
-``agree`` differs from the formula's — the perf-smoke CI gate.
+sanitizer slowdown reaches its bound, any replayed verdict of
+``agree`` differs from the formula's, the two relation builds differ
+in canonical wire bytes, the shipped build creates no fewer nodes than
+the fold, a self-equivalence verdict is wrong, or a quantification memo
+key is tracked by the collector (or none was memoized) — the
+perf-smoke CI gate.
 """
 
 from __future__ import annotations
@@ -373,6 +387,82 @@ def measure_agree_replay(max_iterations, benchmarks=None):
     }
 
 
+# ----------------------------------------------------------------------
+# relation image
+# ----------------------------------------------------------------------
+def _fold_relation(fsm):
+    """The deepest-latch-first left fold ``transition_relation`` replaced."""
+    manager = fsm.manager
+    relation = ONE
+    for index in range(fsm.num_latches - 1, -1, -1):
+        clause = manager.xnor(fsm.next_var(index), fsm.next_fns[index])
+        relation = manager.and_(relation, clause)
+    return relation
+
+
+def _timed_build(build, fsm):
+    manager = fsm.manager
+    before = manager.statistics()["nodes_created"]
+    started = time.perf_counter()
+    relation = build(fsm)
+    elapsed = time.perf_counter() - started
+    return relation, {
+        "seconds": round(elapsed, 3),
+        "nodes_created": manager.statistics()["nodes_created"] - before,
+        "size": manager.size(relation),
+    }
+
+
+def measure_relation_image(names):
+    """Self-equivalence through the relation image, per machine.
+
+    Returns ``{name: record}``: both builds' seconds, nodes created and
+    size, whether their canonical wire bytes match, the verdict and
+    seconds of ``check_equivalence``, and the tracked memo keys.
+    """
+    import gc
+
+    from repro.bdd.wire import serialize
+    from repro.circuits.suite import benchmark_spec
+    from repro.fsm.image import image_by_relation, transition_relation
+    from repro.fsm.product import compile_product
+    from repro.fsm.reachability import check_equivalence
+
+    out = {}
+    for name in names:
+        spec = benchmark_spec(name)
+        product = compile_product(Manager(), spec, spec)
+        machine = product.machine
+        manager = machine.manager
+        relation, shipped = _timed_build(transition_relation, machine)
+        started = time.perf_counter()
+        result = check_equivalence(product, image=image_by_relation)
+        check_seconds = time.perf_counter() - started
+        gc.collect()
+        keys = [
+            key
+            for table in ("exists", "forall", "and_exists")
+            for key in manager.cache(table)
+        ]
+        tracked = sum(gc.is_tracked(key) for key in keys)
+        fold_machine = compile_product(Manager(), spec, spec).machine
+        fold_relation, fold = _timed_build(_fold_relation, fold_machine)
+        same = serialize(manager, [relation]) == serialize(
+            fold_machine.manager, [fold_relation]
+        )
+        out[name] = {
+            "shipped": shipped,
+            "fold": fold,
+            "same_relation": same,
+            "equivalent": result.equivalent,
+            "iterations": result.iterations,
+            "check_seconds": round(check_seconds, 3),
+            "memo_keys": len(keys),
+            "tracked_memo_keys": tracked,
+        }
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -480,6 +570,30 @@ def main(argv=None) -> int:
         )
     )
 
+    relation_names = ["tbk"] if args.quick else ["s344", "s1238"]
+    relation = measure_relation_image(relation_names)
+    for name, entry in relation.items():
+        print(
+            "relation image %s: shipped build %.3fs, %d nodes created "
+            "(size %d); fold %.3fs, %d nodes created; same relation %s; "
+            "check %.3fs, equivalent %s in %d iterations; %d of %d "
+            "memo keys tracked"
+            % (
+                name,
+                entry["shipped"]["seconds"],
+                entry["shipped"]["nodes_created"],
+                entry["shipped"]["size"],
+                entry["fold"]["seconds"],
+                entry["fold"]["nodes_created"],
+                entry["same_relation"],
+                entry["check_seconds"],
+                entry["equivalent"],
+                entry["iterations"],
+                entry["tracked_memo_keys"],
+                entry["memo_keys"],
+            )
+        )
+
     record = {
         "agree_replay": replay,
         "ite_throughput": {
@@ -502,6 +616,7 @@ def main(argv=None) -> int:
             "recursive_error": rec_err,
         },
         "gc_sweep": sweep,
+        "relation_image": relation,
         "sanitizer_overhead": {
             "plain_steps_per_sec": round(plain_rate),
             "sanitized_steps_per_sec": round(sanitized_rate),
@@ -541,6 +656,30 @@ def main(argv=None) -> int:
             "agree and the node-building formula disagree on %d of the "
             "replayed queries" % replay["mismatches"]
         )
+    for name, entry in relation.items():
+        if not entry["same_relation"]:
+            failed.append(
+                "%s: the shipped relation and the fold differ in "
+                "canonical wire bytes" % name
+            )
+        if entry["shipped"]["nodes_created"] >= entry["fold"]["nodes_created"]:
+            failed.append(
+                "%s: the shipped relation build created %d nodes, no "
+                "fewer than the fold's %d"
+                % (
+                    name,
+                    entry["shipped"]["nodes_created"],
+                    entry["fold"]["nodes_created"],
+                )
+            )
+        if not entry["equivalent"]:
+            failed.append("%s: self-equivalence check failed" % name)
+        if entry["tracked_memo_keys"] or not entry["memo_keys"]:
+            failed.append(
+                "%s: %d of %d quantification memo keys are tracked by "
+                "the cyclic collector (an empty memo measures nothing)"
+                % (name, entry["tracked_memo_keys"], entry["memo_keys"])
+            )
     for message in failed:
         print("FAIL: %s" % message, file=sys.stderr)
     return 1 if failed else 0

@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+from collections.abc import Iterator
 from typing import Iterable, Optional, Tuple
 
 from repro.analysis.errors import SanitizerError
@@ -187,6 +188,8 @@ class SanitizedManager(Manager):
         kind = type(value)
         if kind is SanitizedRef:
             return self._check_tagged(value)
+        if kind is int:
+            return value
         if kind is tuple or kind is list:
             return kind(self._check_arg(item) for item in value)
         if kind is dict:
@@ -195,6 +198,11 @@ class SanitizedManager(Manager):
             }
         if kind is set or kind is frozenset:
             return kind(self._check_arg(item) for item in value)
+        if isinstance(value, Iterator):
+            # A generator or other one-shot iterator can only be read
+            # once: materialize it so its refs are checked and the
+            # wrapped method still receives every item.
+            return tuple(self._check_arg(item) for item in value)
         return value
 
     def _tag(self, ref: int) -> int:

@@ -167,6 +167,31 @@ class Remap:
         return len(self._index_map)
 
 
+def _reduce_span(
+    items: List[int],
+    lo: int,
+    hi: int,
+    combine: Callable[[int, int], int],
+    absorbing: int,
+) -> int:
+    """``combine`` over ``items[lo:hi]`` as a tree split at the middle.
+
+    The first half takes the extra item of an odd span, and the
+    recursion is ⌈log2 n⌉ deep.  A module function, not a closure: a
+    recursive closure is a reference cycle, and through ``combine`` (a
+    bound method) it would keep the manager alive until the next full
+    cyclic collection.  Returns ``absorbing`` as soon as the first half
+    reduces to it.
+    """
+    if hi - lo == 1:
+        return items[lo]
+    mid = (lo + hi + 1) // 2
+    first = _reduce_span(items, lo, mid, combine, absorbing)
+    if first == absorbing:
+        return absorbing
+    return combine(first, _reduce_span(items, mid, hi, combine, absorbing))
+
+
 class Manager:
     """Owns BDD nodes and implements the operator core.
 
@@ -221,6 +246,9 @@ class Manager:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self._op_caches: Dict[str, dict] = {}
+        # Quantified level sets interned to small ints for the memo keys
+        # of exists/forall/and_exists; flushed with the computed tables.
+        self._level_set_ids: Dict[frozenset, int] = {}
         self._var_names: List[str] = []
         self._name_to_level: Dict[str, int] = {}
         if var_names is not None:
@@ -414,6 +442,7 @@ class Manager:
         self._ite_cache.clear()
         for cache in self._op_caches.values():
             cache.clear()
+        self._level_set_ids.clear()
         hook = self._step_hook
         if hook is not None:
             hook(EVENT_CLEAR)
@@ -960,50 +989,30 @@ class Manager:
     def and_many(self, refs: Iterable[int]) -> int:
         """Conjunction of a collection of refs.
 
-        Combined as a balanced pairwise reduction tree rather than a
-        left fold: a fold drags one ever-growing accumulator through
-        every AND, so intermediate BDDs peak near the final size times
-        the term count, while the balanced tree conjoins functions of
-        similar (small) size first — the standard BDD-package idiom for
-        n-ary operations.  Short-circuits on an annihilating ZERO.
+        Combined as a balanced reduction tree rather than a left fold: a
+        fold drags one ever-growing accumulator through every AND, so
+        intermediate BDDs peak near the final size times the term count,
+        while the tree conjoins functions of similar (small) size first
+        — the standard BDD-package idiom for n-ary operations.  The tree
+        splits the sequence at its middle, so each half is conjoined on
+        its own and the halves meet once, in the last AND.
+        Short-circuits on an annihilating ZERO.
         """
         items = list(refs)
         if not items:
             return ONE
-        and_ = self.and_
-        while len(items) > 1:
-            paired: List[int] = []
-            for i in range(0, len(items) - 1, 2):
-                combined = and_(items[i], items[i + 1])
-                if combined == ZERO:
-                    return ZERO
-                paired.append(combined)
-            if len(items) & 1:
-                paired.append(items[-1])
-            items = paired
-        return items[0]
+        return _reduce_span(items, 0, len(items), self.and_, ZERO)
 
     def or_many(self, refs: Iterable[int]) -> int:
         """Disjunction of a collection of refs.
 
-        Balanced pairwise reduction; see :meth:`and_many`.
+        Balanced reduction; see :meth:`and_many`.
         Short-circuits on an annihilating ONE.
         """
         items = list(refs)
         if not items:
             return ZERO
-        or_ = self.or_
-        while len(items) > 1:
-            paired: List[int] = []
-            for i in range(0, len(items) - 1, 2):
-                combined = or_(items[i], items[i + 1])
-                if combined == ONE:
-                    return ONE
-                paired.append(combined)
-            if len(items) & 1:
-                paired.append(items[-1])
-            items = paired
-        return items[0]
+        return _reduce_span(items, 0, len(items), self.or_, ONE)
 
     def leq(self, f: int, g: int) -> bool:
         """Containment test: ``f ≤ g`` (f implies g); builds no node.
@@ -1191,18 +1200,42 @@ class Manager:
         return f
 
     def exists(self, f: int, levels: Iterable[int]) -> int:
-        """Existential quantification over the given variable levels."""
+        """Existential quantification over the given variable levels.
+
+        Memoized in ``cache("exists")`` under ``(f, set_id)``; see
+        :meth:`_quantify`.
+        """
         level_set = frozenset(levels)
         if not level_set:
             return f
         return self._quantify(f, level_set, self.cache("exists"), False)
 
     def forall(self, f: int, levels: Iterable[int]) -> int:
-        """Universal quantification over the given variable levels."""
+        """Universal quantification over the given variable levels.
+
+        Memoized in ``cache("forall")`` under ``(f, set_id)``; see
+        :meth:`_quantify`.
+        """
         level_set = frozenset(levels)
         if not level_set:
             return f
         return self._quantify(f, level_set, self.cache("forall"), True)
+
+    def _level_set_id(self, levels: frozenset) -> int:
+        """The small int standing for ``levels`` in quantification memo keys.
+
+        A memo key holding the frozenset itself can never be untracked
+        by Python's cyclic collector (sets are always tracked), so every
+        full collection would re-walk every entry of the quantification
+        tables.  A tuple of ints is untracked at its first collection.
+        The ids live until :meth:`clear_caches`, which flushes every
+        entry that uses them.
+        """
+        ids = self._level_set_ids
+        set_id = ids.get(levels)
+        if set_id is None:
+            set_id = ids[levels] = len(ids)
+        return set_id
 
     def _quantify(
         self, f: int, levels: frozenset, cache: dict, conjunctive: bool
@@ -1211,8 +1244,12 @@ class Manager:
 
         The combine step calls :meth:`and_`/:meth:`or_`, itself the
         heap-bounded ITE kernel, so the whole operation runs under the
-        default interpreter recursion limit at any depth.
+        default interpreter recursion limit at any depth.  Memo keys are
+        ``(f, set_id)`` with ``set_id`` from :meth:`_level_set_id`; the
+        exists and forall tables are separate, so the key needs no
+        polarity.
         """
+        set_id = self._level_set_id(levels)
         deepest = max(levels)
         combine = self.and_ if conjunctive else self.or_
         level_list = self._level
@@ -1242,7 +1279,7 @@ class Manager:
             if node_level > deepest:
                 results.append(f)
                 continue
-            key = (f, levels)
+            key = (f, set_id)
             cached = cache.get(key)
             if cached is not None:
                 results.append(cached)
@@ -1257,7 +1294,11 @@ class Manager:
         """Relational product ``∃ levels. f · g`` without the full AND.
 
         The workhorse of image computation: quantification is interleaved
-        with the conjunction so intermediate BDDs stay small.
+        with the conjunction so intermediate BDDs stay small.  Memoized
+        in ``cache("and_exists")`` under ``(f, g, set_id)`` with
+        ``f <= g``; ``set_id`` is the level set's interned int (see
+        :meth:`_level_set_id`), as in CUDD's ``Cudd_bddAndAbstract``,
+        whose cache key holds the cube's pointer rather than the cube.
         """
         level_set = frozenset(levels)
         return self._and_exists(f, g, level_set, self.cache("and_exists"))
@@ -1271,6 +1312,7 @@ class Manager:
         when an existentially quantified level already produced ONE —
         and ``_COMBINE`` merges both child results.
         """
+        set_id = self._level_set_id(levels)
         level_list = self._level
         high_list = self._high
         low_list = self._low
@@ -1302,7 +1344,7 @@ class Manager:
                     continue
                 if f > g:
                     f, g = g, f
-                key = (f, g, levels)
+                key = (f, g, set_id)
                 cached = cache.get(key)
                 if cached is not None:
                     results.append(cached)

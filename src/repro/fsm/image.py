@@ -29,13 +29,16 @@ def transition_relation(fsm: Fsm) -> int:
     """The monolithic transition relation, cached on the machine."""
     if fsm._relation is None:
         manager = fsm.manager
-        relation = ONE
-        # Conjoin deepest-variable functions first: partial products
-        # stay smaller when the constrained variables are adjacent.
-        for index in range(fsm.num_latches - 1, -1, -1):
-            clause = manager.xnor(fsm.next_var(index), fsm.next_fns[index])
-            relation = manager.and_(relation, clause)
-        fsm._relation = relation
+        # One balanced AND over the clauses in latch order.  A product
+        # machine lists the left machine's latches, then the right's,
+        # so with equal latch counts each machine's clauses are
+        # conjoined among themselves and the two halves meet once.  A
+        # left fold conjoined each clause into the product of all
+        # clauses so far, creating about twice the relation's nodes.
+        fsm._relation = manager.and_many(
+            manager.xnor(fsm.next_var(index), next_fn)
+            for index, next_fn in enumerate(fsm.next_fns)
+        )
     return fsm._relation
 
 

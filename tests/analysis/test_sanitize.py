@@ -55,6 +55,20 @@ def test_cross_manager_inside_containers(pair):
         second.validate((second.var(1), f))
 
 
+def test_cross_manager_inside_iterators(pair):
+    first, second = pair
+    f = first.var(0)
+    with pytest.raises(SanitizerError):
+        second.and_many(ref for ref in (second.var(0), f))
+    with pytest.raises(SanitizerError):
+        second.size_multi(ref for ref in (second.var(1), f))
+    with pytest.raises(SanitizerError):
+        second.nodes_reachable(iter((second.var(2), f)))
+    # A checked iterator still hands every item to the method.
+    variables = [second.var(level) for level in range(3)]
+    assert second.and_many(iter(variables)) == second.and_many(variables)
+
+
 def test_stale_generation_raises(pair):
     manager, _ = pair
     f = manager.or_(manager.var(0), manager.var(2))

@@ -167,6 +167,28 @@ class TestBalancedManyOps:
 
         assert tree_nodes < fold_nodes
 
+    def test_and_many_splits_at_the_middle(self):
+        """Each half is conjoined on its own; the halves meet once, last."""
+        manager = Manager()
+        manager.ensure_vars(6)
+        variables = [manager.var(level) for level in range(6)]
+        calls = []
+        and_ = manager.and_
+
+        def logged(f, g):
+            calls.append((f, g))
+            return and_(f, g)
+
+        manager.and_ = logged
+        manager.and_many(variables)
+        del manager.and_
+        halves = (
+            manager.and_many(variables[:3]),
+            manager.and_many(variables[3:]),
+        )
+        assert len(calls) == 5
+        assert calls[-1] == halves
+
     def test_or_many_short_circuits(self):
         manager = Manager(var_names=["a", "b"])
         assert manager.or_many([manager.var(0), ONE, manager.var(1)]) == ONE

@@ -1,5 +1,7 @@
 """Unit tests for the manager's node structure and operator core."""
 
+import gc
+
 import pytest
 
 from repro.bdd.manager import Manager, ONE, ZERO, TERMINAL_LEVEL
@@ -218,6 +220,52 @@ class TestCofactorQuantify:
         g = manager.ite(b, c, a)
         expected = manager.exists(manager.and_(f, g), [1])
         assert manager.and_exists(f, g, [1]) == expected
+        # Several level sets share the memo tables, interleaved across
+        # a cache flush and a collection (the rotation hands each set a
+        # different memo id after the flush); every result must match
+        # cofactor expansion.
+        d, e = manager.new_var("d"), manager.new_var("e")
+        functions = [
+            f,
+            g,
+            manager.xor(c, manager.and_(d, e)),
+            manager.ite(e, d ^ 1, manager.or_(a, c)),
+        ]
+        level_sets = [(1,), (0, 2), (1, 3, 4), (4,), (0, 1, 2, 3, 4)]
+
+        def expand(h, levels, combine):
+            for level in levels:
+                h = combine(
+                    manager.cofactor(h, level, True),
+                    manager.cofactor(h, level, False),
+                )
+            return h
+
+        for phase in range(3):
+            if phase == 1:
+                manager.clear_caches()
+            elif phase == 2:
+                manager.gc(functions)
+            rotated = level_sets[phase:] + level_sets[:phase]
+            for levels in rotated:
+                for index, h in enumerate(functions):
+                    k = functions[(index + 1) % len(functions)]
+                    assert manager.exists(h, levels) == expand(
+                        h, levels, manager.or_
+                    )
+                    assert manager.forall(h, levels) == expand(
+                        h, levels, manager.and_
+                    )
+                    assert manager.and_exists(h, k, levels) == expand(
+                        manager.and_(h, k), levels, manager.or_
+                    )
+        # Memo keys hold ints only, so the cyclic collector untracks
+        # them instead of re-walking every entry on each full pass.
+        gc.collect()
+        for name in ("exists", "forall", "and_exists"):
+            keys = list(manager.cache(name))
+            assert keys
+            assert not [key for key in keys if gc.is_tracked(key)]
 
     def test_quantify_empty_set_is_identity(self):
         manager = Manager(["a"])

@@ -12,6 +12,8 @@ from repro.fsm.image import (
     transition_relation,
 )
 from repro.circuits.generators import counter, lfsr, random_controller
+from repro.circuits.suite import benchmark_spec
+from repro.fsm.product import compile_product
 
 
 def two_bit_counter():
@@ -35,6 +37,30 @@ class TestRelation:
     def test_relation_cached(self):
         manager, fsm = two_bit_counter()
         assert transition_relation(fsm) == transition_relation(fsm)
+
+
+def left_fold_relation(fsm):
+    """The relation as a deepest-latch-first left fold (the reference)."""
+    manager = fsm.manager
+    relation = ONE
+    for index in range(fsm.num_latches - 1, -1, -1):
+        clause = manager.xnor(fsm.next_var(index), fsm.next_fns[index])
+        relation = manager.and_(relation, clause)
+    return relation
+
+
+class TestRelationSchedule:
+    @pytest.mark.parametrize("name", ["s386", "s510", "scf"])
+    def test_self_product_relation(self, name):
+        """Same function as the fold, built near its final size."""
+        spec = benchmark_spec(name)
+        manager = Manager()
+        machine = compile_product(manager, spec, spec).machine
+        before = manager.statistics()["nodes_created"]
+        relation = transition_relation(machine)
+        created = manager.statistics()["nodes_created"] - before
+        assert created <= 1.5 * manager.size(relation)
+        assert relation == left_fold_relation(machine)
 
 
 class TestImage:
