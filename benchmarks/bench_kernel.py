@@ -75,6 +75,7 @@ import time
 
 from repro.bdd.manager import Manager, ONE, ZERO
 from repro.bdd.truthtable import bdd_from_leaves
+from repro.obs.provenance import provenance
 
 
 class RecursiveKernelManager(Manager):
@@ -623,6 +624,7 @@ def main(argv=None) -> int:
             "slowdown": round(slowdown, 3),
         },
         "quick": args.quick,
+        "provenance": provenance(argv),
     }
     with open(args.output, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)

@@ -32,6 +32,7 @@ import time
 from repro.bdd.manager import EVENT_NODE, EVENT_ITE, Manager, ONE, ZERO
 from repro.bdd.truthtable import bdd_from_leaves
 from repro.core.sibling import constrain, restrict
+from repro.obs.provenance import provenance
 
 
 class BaselineManager(Manager):
@@ -332,6 +333,7 @@ def main(argv=None) -> int:
         "threshold_pct": args.threshold,
         "rounds": args.rounds,
         "iterations_per_round": ITERATIONS,
+        "provenance": provenance(argv),
     }
     with open(args.output, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)

@@ -45,6 +45,7 @@ from repro.core.registry import PAPER_HEURISTICS
 from repro.experiments.calls import collect_suite_calls
 from repro.experiments.harness import run_heuristics
 from repro.obs import trace as obs_trace
+from repro.obs.provenance import provenance
 
 
 def _effective_cpus() -> int:
@@ -236,6 +237,7 @@ def main(argv=None) -> int:
         "breaker_states": pooled_results.serve_stats.get(
             "breaker_states", {}
         ),
+        "provenance": provenance(argv),
     }
     # Exact per-phase percentiles of the pooled pass (seconds): the
     # decode/compute/encode split every batching PR is judged against.

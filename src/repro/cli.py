@@ -598,6 +598,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     import multiprocessing
 
     from repro.obs import trace as obs_trace
+    from repro.obs.provenance import provenance
     from repro.robust.chaos import (
         FAULT_SCHEDULES,
         LoadConfig,
@@ -671,6 +672,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     if args.output:
         payload = {
             "quick": bool(args.quick),
+            "provenance": provenance(),
             "seed": config.seed,
             "requests_per_schedule": config.requests,
             "concurrency": config.concurrency,
@@ -933,100 +935,6 @@ def _cmd_perf_report(args: argparse.Namespace) -> int:
             json.dump(breakdown, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print("wrote %s" % args.json)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark history ledger: record, compare, list."""
-    import datetime
-
-    from repro.obs import hist
-
-    if not (args.record or args.compare or args.list):
-        print("nothing to do: pass --record, --compare and/or --list",
-              file=sys.stderr)
-        return 2
-    ledger_path = args.ledger
-    try:
-        if args.record:
-            recorded_at = datetime.datetime.now(
-                datetime.timezone.utc
-            ).strftime("%Y-%m-%dT%H:%M:%SZ")
-            entries = hist.record(
-                args.dir, ledger_path=ledger_path, recorded_at=recorded_at
-            )
-            for entry in entries:
-                print(
-                    "recorded %-16s %s"
-                    % (
-                        entry["bench"],
-                        " ".join(
-                            "%s=%g" % (metric, value["value"])
-                            for metric, value in sorted(
-                                entry["metrics"].items()
-                            )
-                        ),
-                    )
-                )
-            if not entries:
-                print("no BENCH_*.json records in %s" % args.dir,
-                      file=sys.stderr)
-                return 2
-        if args.list:
-            entries = hist.load_ledger(
-                ledger_path
-                or "%s/%s" % (args.dir, hist.LEDGER_NAME)
-            )
-            for entry in entries:
-                print(
-                    "%-20s %-16s %s"
-                    % (
-                        entry.get("recorded_at") or "-",
-                        entry["bench"],
-                        " ".join(
-                            "%s=%g" % (metric, value["value"])
-                            for metric, value in sorted(
-                                entry["metrics"].items()
-                            )
-                        ),
-                    )
-                )
-            print("%d ledger entr%s" % (
-                len(entries), "y" if len(entries) == 1 else "ies"))
-        if args.compare:
-            outcome = hist.compare(
-                args.dir,
-                ledger_path=ledger_path,
-                tolerance=args.tolerance,
-            )
-            for skip in outcome["skipped"]:
-                print(
-                    "skipped %s: %s" % (skip["bench"], skip["reason"])
-                )
-            for regression in outcome["regressions"]:
-                print(
-                    "REGRESSION %s.%s: %g -> %g (%+.1f%%, %s is "
-                    "better, tolerance %.0f%%)"
-                    % (
-                        regression["bench"],
-                        regression["metric"],
-                        regression["baseline"],
-                        regression["current"],
-                        regression["relative_change"] * 100.0,
-                        regression["direction"],
-                        regression["tolerance"] * 100.0,
-                    ),
-                    file=sys.stderr,
-                )
-            print(
-                "%d directed metric(s) checked, %d regression(s)"
-                % (outcome["checked"], len(outcome["regressions"]))
-            )
-            if not outcome["ok"]:
-                return 1
-    except hist.LedgerError as error:
-        print("ledger error: %s" % error, file=sys.stderr)
-        return 2
     return 0
 
 
@@ -1408,46 +1316,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the full breakdown as JSON",
     )
     perf_parser.set_defaults(handler=_cmd_perf_report)
-
-    bench_parser = commands.add_parser(
-        "bench",
-        help="benchmark history ledger: record and compare BENCH_*.json",
-    )
-    bench_parser.add_argument(
-        "--dir",
-        default="benchmarks",
-        help="directory holding BENCH_*.json records (default "
-        "benchmarks)",
-    )
-    bench_parser.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="ledger path (default <dir>/BENCH_history.jsonl)",
-    )
-    bench_parser.add_argument(
-        "--record",
-        action="store_true",
-        help="append one ledger entry per BENCH_*.json record",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="check current records against the latest ledger "
-        "baselines (exit 1 on regression)",
-    )
-    bench_parser.add_argument(
-        "--list",
-        action="store_true",
-        help="print every ledger entry",
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="relative tolerance before a directed metric counts as "
-        "a regression (default 0.30)",
-    )
-    bench_parser.set_defaults(handler=_cmd_bench)
 
     fuzz_parser = commands.add_parser(
         "fuzz",

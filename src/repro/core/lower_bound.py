@@ -7,6 +7,10 @@ and therefore at least as large as the minimum for ``[f, p]`` — which
 constrain computes.  Maximizing over many cubes of ``c`` yields a lower
 bound on the EBM optimum; the paper enumerates the first 1000 cubes of a
 depth-first traversal of ``c``.
+
+Constrain by a cube is the Shannon cofactor by that cube (Touati et
+al.), so the bound cofactors with :meth:`Manager.restrict_cube` and
+runs no match test.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.bdd.manager import Manager, ZERO
-from repro.core.sibling import constrain
 
 
 def cube_lower_bound(
     manager: Manager, f: int, c: int, cube_limit: Optional[int] = 1000
 ) -> int:
-    """Max over enumerated cubes ``p`` of ``c`` of ``|constrain(f, p)|``.
+    """Max over enumerated cubes ``p`` of ``c`` of ``|constrain(f, p)|``,
+    each computed as the size of the cofactor of ``f`` by ``p``.
 
     Returns 1 for ``c = 0`` (the one-node constant covers).  The bound
     is monotone in ``cube_limit``: more cubes can only raise it.
@@ -29,9 +33,7 @@ def cube_lower_bound(
         return 1
     best = 0
     for cube in manager.cubes(c, limit=cube_limit):
-        cube_ref = manager.cube_ref(cube)
-        candidate = constrain(manager, f, cube_ref)
-        size = manager.size(candidate)
+        size = manager.size(manager.restrict_cube(f, cube))
         if size > best:
             best = size
     return max(best, 1)

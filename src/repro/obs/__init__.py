@@ -16,7 +16,7 @@ the instrumented paths cost a single ``is None`` test (bounded by the
 workloads).  See ``docs/observability.md``.
 """
 
-from repro.obs import dist, hist, metrics, trace
+from repro.obs import dist, metrics, trace
 from repro.obs.dist import (
     PhaseAccumulator,
     TraceContext,
@@ -50,7 +50,6 @@ __all__ = [
     "detach_hook",
     "diff_statistics",
     "dist",
-    "hist",
     "merge_counts",
     "metrics",
     "phase_breakdown",

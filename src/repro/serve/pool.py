@@ -365,25 +365,24 @@ class _SharedInstances:
             self.manager = manager
 
     def load(self, index: int, clock: PhaseClock):
-        """``(manager, [f, c], stats_before)`` for instance ``index``.
+        """``(manager, [f, c])`` for instance ``index``.
 
-        ``stats_before`` is the cell-start statistics snapshot, taken
-        before a first decode so the decode's nodes count toward the
-        cell.  Raises :class:`WireError` for an undecodable instance.
+        A first decode is timed in the ``worker.decode`` and
+        ``worker.manager`` phases; the cell's statistics start after
+        it.  Raises :class:`WireError` for an undecodable instance.
         """
         if index in self.errors:
             raise WireError(self.errors[index])
         self._drop_stale(self.host.manager)
         refs = self.refs.get(index)
         if refs is not None:
-            return self.manager, refs, self.manager.statistics()
+            return self.manager, refs
         try:
             with clock.phase("worker.decode"):
                 parsed = parse_payload(self.payloads[index])
             with clock.phase("worker.manager"):
                 manager = self.host.acquire(parsed.names)
                 self._drop_stale(manager)
-                stats_before = manager.statistics()
                 _, roots = build_parsed(parsed, manager)
             if len(roots) != 2:
                 raise WireError(
@@ -394,7 +393,7 @@ class _SharedInstances:
             self.errors[index] = str(error)
             raise
         refs = self.refs[index] = list(roots)
-        return manager, refs, stats_before
+        return manager, refs
 
     def live(self) -> List[int]:
         """Every cached ref: roots for the between-cell collection."""
@@ -428,7 +427,7 @@ def _run_cell(
 
     started = time.perf_counter()
     try:
-        manager, (f, c), stats_before = shared.load(index, clock)
+        manager, (f, c) = shared.load(index, clock)
     except WireError as error:
         return {
             "status": "failed",
@@ -436,6 +435,7 @@ def _run_cell(
             "kind": DETERMINISTIC,
             "runtime": time.perf_counter() - started,
         }
+    stats_before = manager.statistics()
 
     def stats() -> Dict[str, int]:
         return obs_metrics.diff_statistics(stats_before, manager.statistics())

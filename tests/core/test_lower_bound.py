@@ -1,9 +1,11 @@
 """Tests for the Theorem 7-based cube lower bound (§4.1.1)."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro.bdd.manager import Manager, ONE, ZERO
 from repro.bdd.parser import parse_expression
+from repro.core import sibling
 from repro.core.exact import exact_minimum_size
 from repro.core.lower_bound import cube_lower_bound
 from repro.core.registry import HEURISTICS
@@ -60,3 +62,45 @@ def test_bound_is_attainable_sometimes():
     cube = parse_expression(manager, "a & ~b")
     bound = cube_lower_bound(manager, f, cube)
     assert bound == exact_minimum_size(manager, f, cube)
+
+
+def _constrain_lower_bound(manager, f, c, cube_limit):
+    """The bound as the paper states it: constrain by each cube."""
+    if c == ZERO:
+        return 1
+    sizes = [
+        manager.size(sibling.constrain(manager, f, manager.cube_ref(cube)))
+        for cube in manager.cubes(c, limit=cube_limit)
+    ]
+    return max(sizes + [1])
+
+
+@pytest.mark.parametrize("cube_limit", [1, 1000])
+@given(instance=instance_strategy(4))
+@settings(max_examples=60)
+def test_cofactor_bound_matches_constrain_bound(cube_limit, instance):
+    manager = Manager()
+    f, c = build_instance(manager, *instance)
+    assert cube_lower_bound(
+        manager, f, c, cube_limit=cube_limit
+    ) == _constrain_lower_bound(manager, f, c, cube_limit)
+
+
+def test_bound_runs_no_match_test(monkeypatch):
+    calls = []
+    original = sibling.try_match
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sibling, "try_match", counting)
+    manager = Manager()
+    from repro.core.ispec import parse_instance
+
+    spec = parse_instance(manager, "1d d1 d0 0d 01 11 d1 0d")
+    assert cube_lower_bound(manager, spec.f, spec.c) >= 1
+    assert calls == []
+    # The reference form does run match tests, so the spy sees them.
+    _constrain_lower_bound(manager, spec.f, spec.c, 1000)
+    assert calls

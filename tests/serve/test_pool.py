@@ -217,6 +217,32 @@ class TestBatchedDispatch:
             assert ISpec(manager, f, c).is_cover(one.cover)
             assert manager.size(one.cover) == manager.size(other.cover)
 
+    def test_first_cell_stats_exclude_the_instance_decode(self):
+        # A batch's first cell reports only its own work: the shared
+        # instance's decode belongs to the worker.decode and
+        # worker.manager phases, not to whichever cell used it first.
+        from repro.bdd.parser import parse_expression
+        from repro.bdd.wire import (
+            build_parsed,
+            parse_payload,
+            serialize_instance,
+        )
+        from repro.obs.metrics import diff_statistics
+
+        manager = Manager(["x%d" % level for level in range(8)])
+        f = parse_expression(manager, "(x0 & x3) ^ (x5 | x1 & x7)")
+        c = parse_expression(manager, "x0 | x2 & ~x6 | x4 & x5")
+        parsed = parse_payload(serialize_instance(manager, f, c))
+        local = Manager(list(parsed.names))
+        _, (local_f, local_c) = build_parsed(parsed, local)
+        before = local.statistics()
+        HEURISTICS["constrain"](local, local_f, local_c)
+        expected = diff_statistics(before, local.statistics())
+        with MinimizationPool(workers=1) as pool:
+            replies = pool.run_batch(manager, [("constrain", f, c)] * 3)
+        assert all(reply.ok for reply in replies)
+        assert replies[0].stats["nodes_created"] == expected["nodes_created"]
+
     def test_warm_reset_on_universe_change(self):
         manager, f, c = _instance()
         other = Manager(["x", "y"])

@@ -168,6 +168,10 @@ class TestServeCommands:
         assert record["violations"] == []
         assert record["schedules"][0]["schedule"] == "calm"
         assert record["schedules"][0]["invalid_covers"] == 0
+        # The commit is None only when the tests run outside a checkout.
+        provenance = record["provenance"]
+        assert provenance["commit"] is None or len(provenance["commit"]) == 40
+        assert provenance["nproc"] >= 1
 
     def test_loadtest_unknown_schedule_is_usage_error(self):
         assert main(["loadtest", "--schedule", "earthquake"]) == 2
