@@ -21,16 +21,9 @@ parent needs more than N CPUs to beat serial, so on smaller boxes the
 gate records itself as skipped (``speedup_gate.enforced = false``)
 instead of failing on hardware that cannot pass.
 
-With ``--trace PATH`` an extra pooled pass runs under distributed
-tracing and writes the merged Chrome-trace timeline; the measured
-tracing overhead is gated by ``--max-trace-overhead`` so the always-on
-phase accounting stays honest about its cost.
-
 Run::
 
     PYTHONPATH=src python benchmarks/bench_parallel_sweep.py --workers 2
-    PYTHONPATH=src python benchmarks/bench_parallel_sweep.py \
-        --quick --trace /tmp/sweep-trace.json
 """
 
 from __future__ import annotations
@@ -38,13 +31,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import time
 
 from repro.core.registry import PAPER_HEURISTICS
 from repro.experiments.calls import collect_suite_calls
 from repro.experiments.harness import run_heuristics
-from repro.obs import trace as obs_trace
 from repro.obs.provenance import provenance
 
 
@@ -58,15 +49,6 @@ def _effective_cpus() -> int:
 #: Benchmarks kept small enough that CI pays seconds, not minutes.
 DEFAULT_BENCHMARKS = ("tlc", "minmax5", "s344")
 
-#: The --quick subset: one mid-size benchmark, small enough that CI
-#: can afford several pooled passes (untraced baselines + traced) in
-#: the obs-dist job, yet with requests large enough that the pooled
-#: pass is bounded by worker compute rather than pipe round-trips —
-#: the regime the tracing-overhead gate is meant to measure.  The
-#: micro-benchmarks (tlc, minmax5) spend most of each request on IPC,
-#: where scheduler noise on the saturated pool swamps tracing cost.
-QUICK_BENCHMARKS = ("s344",)
-
 
 def _sweep(names, heuristics, parallel):
     calls = collect_suite_calls(list(names))
@@ -79,12 +61,6 @@ def _sweep(names, heuristics, parallel):
     )
     elapsed = time.perf_counter() - started
     return results, elapsed
-
-
-def _sweep_traced(names, heuristics, workers, path):
-    """Pooled sweep under an active tracer; merged trace written to path."""
-    with obs_trace.tracing(path):
-        return _sweep(names, heuristics, parallel=workers)
 
 
 def _check_agreement(serial_results, pooled_results, heuristics):
@@ -106,18 +82,6 @@ def _check_agreement(serial_results, pooled_results, heuristics):
     return agreeing
 
 
-def _count_process_tracks(path):
-    with open(path) as handle:
-        events = json.load(handle)
-    return len(
-        {
-            event["pid"]
-            for event in events
-            if event.get("ph") == "M" and event.get("name") == "process_name"
-        }
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -134,12 +98,6 @@ def main(argv=None) -> int:
         % ", ".join(DEFAULT_BENCHMARKS),
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized sweep (%s) instead of the full default set"
-        % ", ".join(QUICK_BENCHMARKS),
-    )
-    parser.add_argument(
         "--min-speedup",
         type=float,
         default=None,
@@ -148,29 +106,6 @@ def main(argv=None) -> int:
         "gate is recorded but not enforced when the machine has "
         "fewer than workers+1 CPUs (parallelism cannot beat serial "
         "there)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="run an extra traced pooled pass and write the merged "
-        "Chrome-trace timeline here",
-    )
-    parser.add_argument(
-        "--max-trace-overhead",
-        type=float,
-        default=0.05,
-        help="fail if the traced pass is slower than the untraced "
-        "pooled pass by more than this fraction (default 0.05; "
-        "negative disables the gate)",
-    )
-    parser.add_argument(
-        "--trace-repeats",
-        type=int,
-        default=5,
-        help="passes per mode for the overhead measurement; the gate "
-        "compares the minimum of each side, which keeps scheduler "
-        "noise out of the verdict (default 5)",
     )
     parser.add_argument(
         "--output",
@@ -182,12 +117,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.benchmarks is not None:
-        benchmarks = list(args.benchmarks)
-    elif args.quick:
-        benchmarks = list(QUICK_BENCHMARKS)
-    else:
-        benchmarks = list(DEFAULT_BENCHMARKS)
+    benchmarks = list(args.benchmarks or DEFAULT_BENCHMARKS)
 
     heuristics = tuple(PAPER_HEURISTICS)
     serial_results, serial_seconds = _sweep(
@@ -279,55 +209,6 @@ def main(argv=None) -> int:
             print(
                 "speedup floor %.2fx recorded but not enforced: %s"
                 % (args.min_speedup, record["speedup_gate"]["reason"])
-            )
-
-    if args.trace:
-        # A warmup traced pass (discarded), then alternated untraced /
-        # traced passes compared min-to-min.  The quick sweep finishes
-        # in a couple of seconds, where any single pair of runs is
-        # dominated by scheduler noise; the minimum of each side is
-        # the standard robust estimator, since noise only ever adds
-        # time.  The first pooled pass above is excluded too — it paid
-        # the cold worker forks.
-        repeats = max(1, args.trace_repeats)
-        traced_results, _ = _sweep_traced(
-            benchmarks, heuristics, args.workers, args.trace
-        )
-        _check_agreement(serial_results, traced_results, heuristics)
-        untraced_times = []
-        traced_times = []
-        for _ in range(repeats):
-            _, elapsed = _sweep(
-                benchmarks, heuristics, parallel=args.workers
-            )
-            untraced_times.append(elapsed)
-            traced_results, elapsed = _sweep_traced(
-                benchmarks, heuristics, args.workers, args.trace
-            )
-            _check_agreement(serial_results, traced_results, heuristics)
-            traced_times.append(elapsed)
-        baseline = min(untraced_times)
-        traced_seconds = min(traced_times)
-        overhead = traced_seconds / baseline - 1.0
-        record["trace"] = {
-            "path": os.path.abspath(args.trace),
-            "traced_seconds": round(traced_seconds, 4),
-            "baseline_seconds": round(baseline, 4),
-            "repeats": repeats,
-            "overhead_pct": round(overhead * 100.0, 2),
-            "process_tracks": _count_process_tracks(args.trace),
-        }
-        print(
-            "traced pooled pass %.2fs vs untraced %.2fs, best of %d "
-            "(overhead %+.1f%%) -> %s"
-            % (traced_seconds, baseline, repeats, overhead * 100.0,
-               args.trace)
-        )
-        if args.max_trace_overhead >= 0 and overhead > args.max_trace_overhead:
-            raise SystemExit(
-                "bench gate failed: tracing overhead %.1f%% exceeds "
-                "budget %.1f%%"
-                % (overhead * 100.0, args.max_trace_overhead * 100.0)
             )
 
     with open(args.output, "w") as handle:

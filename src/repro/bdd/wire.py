@@ -251,8 +251,8 @@ class ParsedPayload:
     work: framing, structural validation, CRC) and build (manager
     resolution plus ``make_node`` reconstruction) lets the serving
     layer account for the two costs separately — wire decode vs
-    manager build are distinct phases in the worker's latency
-    breakdown (:mod:`repro.obs.dist`).
+    manager build are distinct phases in the worker's phase ledger
+    (:class:`repro.serve.pool.PhaseClock`).
     """
 
     __slots__ = ("names", "node_records", "root_wires")

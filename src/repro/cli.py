@@ -593,11 +593,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     in ``benchmarks/BENCH_serve_load.json``.  Exit status 1 on any
     invariant violation — this is the CI gate behind ``load-smoke``.
     """
-    import contextlib
     import json
     import multiprocessing
 
-    from repro.obs import trace as obs_trace
     from repro.obs.provenance import provenance
     from repro.robust.chaos import (
         FAULT_SCHEDULES,
@@ -639,36 +637,32 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             return 2
     all_violations: List[str] = []
     records = []
-    trace_stack = contextlib.ExitStack()
-    if getattr(args, "trace", None):
-        trace_stack.enter_context(obs_trace.tracing(args.trace))
-    with trace_stack:
-        for name in names:
-            schedule = named_schedule(name, config.seed, config.requests)
-            report = run_loadtest(config, schedule)
-            record = report.to_record()
-            records.append(record)
-            violations = report.violations(
-                max_p99=args.max_p99, max_shed_rate=args.max_shed_rate
+    for name in names:
+        schedule = named_schedule(name, config.seed, config.requests)
+        report = run_loadtest(config, schedule)
+        record = report.to_record()
+        records.append(record)
+        violations = report.violations(
+            max_p99=args.max_p99, max_shed_rate=args.max_shed_rate
+        )
+        all_violations.extend(violations)
+        print(
+            "%-8s %4d req: %4d ok, %3d degraded, %3d shed "
+            "(p50 %.3fs, p99 %.3fs, %.0f req/s)%s"
+            % (
+                name,
+                report.requests,
+                report.completed_ok,
+                report.degraded,
+                report.shed,
+                report.p50,
+                report.p99,
+                report.throughput,
+                "  FAIL" if violations else "",
             )
-            all_violations.extend(violations)
-            print(
-                "%-8s %4d req: %4d ok, %3d degraded, %3d shed "
-                "(p50 %.3fs, p99 %.3fs, %.0f req/s)%s"
-                % (
-                    name,
-                    report.requests,
-                    report.completed_ok,
-                    report.degraded,
-                    report.shed,
-                    report.p50,
-                    report.p99,
-                    report.throughput,
-                    "  FAIL" if violations else "",
-                )
-            )
-            for message in violations:
-                print("  violation: %s" % message, file=sys.stderr)
+        )
+        for message in violations:
+            print("  violation: %s" % message, file=sys.stderr)
     if args.output:
         payload = {
             "quick": bool(args.quick),
@@ -822,14 +816,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.experiments import run_experiment
     from repro.experiments.summary import aggregate_stats, render_stats
     from repro.core.registry import PAPER_HEURISTICS
-    from repro.obs import dist as obs_dist
     from repro.obs import metrics as obs_metrics
+    from repro.serve.pool import GLOBAL_PHASES
 
     names = args.benchmarks or list(QUICK_SUITE)
     heuristics = tuple(args.heuristics) if args.heuristics else (
         PAPER_HEURISTICS
     )
-    obs_dist.GLOBAL_PHASES.reset()
+    GLOBAL_PHASES.reset()
     with obs_metrics.collecting() as registry:
         results = run_experiment(
             names=names,
@@ -857,7 +851,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             # serve-path key set — a counter that only appears once
             # something sheds or hedges is invisible exactly when a
             # dashboard is being built against this output.
-            obs_dist.ensure_serve_counters(registry)
+            obs_metrics.ensure_serve_counters(registry)
     print(
         "%d calls measured over %s (max %d iterations each)"
         % (results.total_calls, ", ".join(names), args.max_iterations)
@@ -879,7 +873,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         % sum(cell.get("ite_cache_hits", 0) for cell in totals.values())
     )
     _print_registry(registry)
-    phase_summary = obs_dist.GLOBAL_PHASES.summary()
+    phase_summary = GLOBAL_PHASES.summary()
     if phase_summary:
         print("\nphase percentiles (count / p50 / p95 / p99, seconds):")
         for name in sorted(phase_summary):
@@ -894,47 +888,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
                     entry["p99"],
                 )
             )
-    return 0
-
-
-def _cmd_perf_report(args: argparse.Namespace) -> int:
-    """Aggregate a merged trace into its phase-breakdown table."""
-    from repro.obs import dist as obs_dist
-
-    try:
-        events = obs_dist.load_trace(args.trace)
-    except (OSError, ValueError) as error:
-        print("unreadable trace %s: %s" % (args.trace, error),
-              file=sys.stderr)
-        return 2
-    breakdown = obs_dist.phase_breakdown(events)
-    if breakdown["requests"] == 0:
-        print(
-            "no pool request spans in %s (was the sweep run with "
-            "--trace and --parallel?)" % args.trace,
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        "%d request(s), %.3f ms total wall"
-        % (breakdown["requests"], breakdown["wall_us"] / 1e3)
-    )
-    print()
-    print(obs_dist.render_phase_table(breakdown))
-    if args.collapsed:
-        lines = obs_dist.collapsed_stacks(events)
-        with open(args.collapsed, "w") as handle:
-            for line in lines:
-                handle.write(line + "\n")
-        print("\nwrote %d collapsed stack(s) to %s"
-              % (len(lines), args.collapsed))
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(breakdown, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % args.json)
     return 0
 
 
@@ -1258,12 +1211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON record path (default benchmarks/BENCH_serve_load.json; "
         "empty string to skip writing)",
     )
-    loadtest_parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="write a merged distributed Chrome trace of the drill "
-        "(chaos injections tagged as instant events)",
-    )
     loadtest_parser.set_defaults(handler=_cmd_loadtest)
 
     metrics_parser = commands.add_parser(
@@ -1295,27 +1242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workers, so serve.* and gateway.* counters appear",
     )
     metrics_parser.set_defaults(handler=_cmd_metrics)
-
-    perf_parser = commands.add_parser(
-        "perf-report",
-        help="aggregate a merged trace into a phase-breakdown table",
-    )
-    perf_parser.add_argument(
-        "trace",
-        help="merged Chrome-trace JSON written by a --trace run",
-    )
-    perf_parser.add_argument(
-        "--collapsed",
-        metavar="PATH",
-        help="also write collapsed stacks (flamegraph.pl/speedscope "
-        "format)",
-    )
-    perf_parser.add_argument(
-        "--json",
-        metavar="PATH",
-        help="also write the full breakdown as JSON",
-    )
-    perf_parser.set_defaults(handler=_cmd_perf_report)
 
     fuzz_parser = commands.add_parser(
         "fuzz",

@@ -8,7 +8,9 @@ emitting Perfetto-loadable Chrome trace events for schedule windows,
 sibling matching, DMG sink computation and clique-cover rounds; and
 :func:`~repro.obs.hooks.attach_hook` / ``detach_hook`` so the robust
 governor, the CheckedManager auditor and the tracer can share one
-manager's step-hook slot.
+manager's step-hook slot.  The worker pool's always-on phase ledger
+(:class:`~repro.serve.pool.PhaseAccumulator`) lives next to the pool,
+its only producer.
 
 Everything is opt-in: with no registry enabled and no tracer active,
 the instrumented paths cost a single ``is None`` test (bounded by the
@@ -16,13 +18,7 @@ the instrumented paths cost a single ``is None`` test (bounded by the
 workloads).  See ``docs/observability.md``.
 """
 
-from repro.obs import dist, metrics, trace
-from repro.obs.dist import (
-    PhaseAccumulator,
-    TraceContext,
-    TraceMerger,
-    phase_breakdown,
-)
+from repro.obs import metrics, trace
 from repro.obs.hooks import (
     StepHookDispatcher,
     attach_hook,
@@ -39,20 +35,15 @@ from repro.obs.trace import Tracer, tracing, validate_events
 
 __all__ = [
     "MetricsRegistry",
-    "PhaseAccumulator",
     "StepHookDispatcher",
-    "TraceContext",
-    "TraceMerger",
     "Tracer",
     "attach_hook",
     "attached_hooks",
     "collecting",
     "detach_hook",
     "diff_statistics",
-    "dist",
     "merge_counts",
     "metrics",
-    "phase_breakdown",
     "trace",
     "tracing",
     "validate_events",

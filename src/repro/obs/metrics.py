@@ -272,5 +272,55 @@ def merge_counts(
     return accumulator
 
 
+#: Every serve-path counter the merged ``repro-bdd metrics --parallel``
+#: view must surface, even at zero: a counter that only appears once
+#: something goes wrong is invisible exactly when dashboards are being
+#: built.  Grouped by the module that increments them.
+SERVE_COUNTER_KEYS = (
+    # repro.serve.pool / repro.serve.service
+    "serve.batch_cells",
+    "serve.batch_partial_failures",
+    "serve.batches",
+    "serve.probe_failures",
+    "serve.retries",
+    "serve.short_circuits",
+    "serve.watchdog_kills",
+    "serve.worker_crashes",
+    "serve.worker_recycles",
+    "serve.worker_replacements",
+    # repro.serve.gateway
+    "gateway.degraded",
+    "gateway.drains",
+    "gateway.hedge_wins",
+    "gateway.hedges",
+    "gateway.probe_rounds",
+    "gateway.retries",
+    "gateway.shed_closed",
+    "gateway.shed_expired",
+    "gateway.shed_overload",
+    "gateway.short_circuits",
+    "gateway.supervisor_restarts",
+    # repro.verify lanes
+    "verify.instances",
+    "verify.lane_requests",
+    "verify.lane_violations",
+    "verify.oracle_checks",
+    "verify.oracle_findings",
+    "verify.shrink_accepted_steps",
+    "verify.shrinks",
+)
+
+
+def ensure_serve_counters(registry: MetricsRegistry) -> None:
+    """Zero-fill every :data:`SERVE_COUNTER_KEYS` counter in place.
+
+    ``inc(name, 0)`` materializes the key without changing any count
+    that instrumentation already recorded, so the merged parallel view
+    always exports the full serve-path key set.
+    """
+    for name in SERVE_COUNTER_KEYS:
+        registry.inc(name, 0)
+
+
 if os.environ.get(ENV_VAR) == "1":  # pragma: no cover - env bootstrap
     enable()

@@ -50,10 +50,9 @@ class _Span:
     """Reusable-shape context manager recording one "X" event.
 
     A plain class instead of ``@contextmanager``: the generator
-    machinery costs ~2.5µs per span, which at the serving layer's
-    span density (worker phases plus library spans on every request)
-    is the difference between tracing being free and tracing showing
-    up in the overhead gate of ``bench_parallel_sweep.py``.
+    machinery costs ~2.5µs per span, which at the library's span
+    density (a span per schedule window and per clique-cover round)
+    would show up in every traced sweep.
     """
 
     __slots__ = ("_tracer", "_name", "_args", "_start", "_depth")
@@ -133,26 +132,11 @@ class Tracer:
         Unlike :meth:`span` this never touches ``_depth``, so it is
         safe from pool dispatcher threads: a single ``list.append`` is
         atomic under the GIL.  Callers are responsible for supplying a
-        complete event (``ph``/``ts``/``pid``/``tid``/...); the merge
-        layer in :mod:`repro.obs.dist` is the main client.
+        complete event (``ph``/``ts``/``pid``/``tid``/...), for example
+        a span timed on another thread and converted with
+        :meth:`offset_us`.
         """
         self.events.append(event)
-
-    def instant(self, name: str, **args: object) -> None:
-        """Record a zero-duration marker event (Chrome "i" phase)."""
-        now = time.perf_counter_ns()
-        self.events.append(
-            {
-                "name": name,
-                "ph": "i",
-                "ts": (now - self._origin_ns) / 1000.0,
-                "pid": self._pid,
-                "tid": TRACE_TID,
-                "cat": "repro",
-                "s": "t",
-                "args": dict(args, depth=self._depth),
-            }
-        )
 
     def write(self, path: str) -> int:
         """Write the trace as a JSON array, one event per line.

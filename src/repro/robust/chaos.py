@@ -53,7 +53,6 @@ from repro.bdd.cover import is_def2_cover
 from repro.bdd.manager import Manager
 from repro.bdd.wire import deserialize, deserialize_instance, serialize_instance
 from repro.core.registry import register_heuristic, unregister_heuristic
-from repro.obs import trace as obs_trace
 from repro.serve.breaker import BreakerBoard
 from repro.serve.gateway import (
     DeadlineExpired,
@@ -575,12 +574,6 @@ async def _drive(
             payload = payloads[req_rng.randrange(len(payloads))]
             sent = payload
             for kind in schedule.due(seq):
-                tracer = obs_trace.active()
-                if tracer is not None:
-                    # Tag the injection into the timeline: a killed or
-                    # shed request's partial trace then sits right
-                    # next to its cause when read in Perfetto.
-                    tracer.instant("chaos." + kind, seq=seq)
                 if kind == CHAOS_SPIKE:
                     method = SPIKE_METHOD
                 elif kind == CHAOS_CORRUPT:

@@ -45,10 +45,10 @@ only then do workers shut down.
 Every admitted request is a batch — shared instance payloads plus
 ``(instance_index, method)`` cells — and
 :meth:`MinimizationGateway.submit` is a batch of one, so admission,
-shedding, breaker gating and span bookkeeping have a single
-implementation.  The gateway speaks the wire format of
-:mod:`repro.bdd.wire` end to end: callers submit serialized ``[f, c]``
-payloads and receive covers back as wire bytes, so no
+shedding and breaker gating have a single implementation.  The gateway
+speaks the wire format of :mod:`repro.bdd.wire` end to end: callers
+submit serialized ``[f, c]`` payloads and receive covers back as wire
+bytes, so no
 :class:`~repro.bdd.manager.Manager` is ever shared across threads;
 a caller decodes a reply into its own manager with
 :func:`repro.bdd.wire.deserialize`.
@@ -69,7 +69,6 @@ from repro.bdd.wire import (
     serialize,
 )
 from repro.obs import metrics as obs_metrics
-from repro.obs.dist import RequestSpanTracker
 from repro.serve.breaker import BreakerBoard
 from repro.serve.pool import (
     DETERMINISTIC,
@@ -183,8 +182,8 @@ class _Admitted:
     """One queued batch: instance payloads, cells, expiry, caller's future.
 
     ``future`` resolves to a list of per-cell :class:`GatewayReply`
-    aligned with ``cells``; ``label`` names the request in spans and
-    the dispatch log (the method for a batch of one).
+    aligned with ``cells``; ``label`` names the request in the
+    dispatch log (the method for a batch of one).
     """
 
     seq: int
@@ -195,9 +194,6 @@ class _Admitted:
     admitted_at: float
     expires_at: float
     future: "asyncio.Future[List[GatewayReply]]"
-    #: Root-span handle in the gateway's RequestSpanTracker; closed
-    #: exactly once on every exit path (completion or typed shed).
-    span: int = -1
 
 
 class MinimizationGateway:
@@ -306,12 +302,6 @@ class MinimizationGateway:
         self.probe_rounds = 0
         self.supervisor_restarts = 0
         self.max_queue_depth = 0
-        #: Root spans for admitted requests.  Every request opens one
-        #: at admission and closes it on every exit path — completion,
-        #: degradation, or any typed shed (which stamps a
-        #: ``shed_reason``) — so ``spans.open_count`` is 0 whenever
-        #: the gateway is quiescent.
-        self.spans = RequestSpanTracker()
         self._seq = 0
         self._active = 0
         self._started = False
@@ -383,9 +373,6 @@ class MinimizationGateway:
             except asyncio.QueueEmpty:
                 break
             self._bump("shed_closed")
-            self.spans.close(
-                item.span, status="shed", shed_reason="gateway_closed"
-            )
             if not item.future.done():
                 item.future.set_exception(
                     GatewayClosed("gateway closed before dispatch")
@@ -430,7 +417,6 @@ class MinimizationGateway:
             "probe_rounds": self.probe_rounds,
             "supervisor_restarts": self.supervisor_restarts,
             "max_queue_depth": self.max_queue_depth,
-            "open_spans": self.spans.open_count,
             "queue_depth": 0 if self._queue is None else self._queue.qsize(),
         }
         if self.board is not None:
@@ -515,15 +501,11 @@ class MinimizationGateway:
             admitted_at=now,
             expires_at=now + budget,
             future=asyncio.get_running_loop().create_future(),
-            span=self.spans.open(seq=self._seq, method=label),
         )
         try:
             self._queue.put_nowait(item)
         except asyncio.QueueFull:
             self._bump("shed_overload")
-            self.spans.close(
-                item.span, status="shed", shed_reason="overload"
-            )
             raise OverloadedError(
                 "admission queue full (%d queued); request shed"
                 % self._queue.qsize(),
@@ -542,17 +524,11 @@ class MinimizationGateway:
             await self._gate.wait()
             item = await self._queue.get()
             if item.future.done():  # pragma: no cover - cancelled caller
-                self.spans.close(
-                    item.span, status="shed", shed_reason="abandoned"
-                )
                 continue
             self._active += 1
             try:
                 await self._run_item(item)
             except asyncio.CancelledError:
-                self.spans.close(
-                    item.span, status="shed", shed_reason="gateway_closed"
-                )
                 if not item.future.done():
                     item.future.set_exception(
                         GatewayClosed("gateway closed mid-request")
@@ -581,10 +557,6 @@ class MinimizationGateway:
                         ]
                     )
             finally:
-                # Idempotent backstop: _run_item closes the span on
-                # every path it owns; anything that slipped through
-                # (the untyped-exception boundary above) closes here.
-                self.spans.close(item.span, status="error")
                 self._active -= 1
 
     async def _run_item(self, item: _Admitted) -> None:
@@ -596,12 +568,6 @@ class MinimizationGateway:
             # Already dead on arrival at the dispatcher: shed without
             # ever touching a worker.
             self._bump("shed_expired")
-            self.spans.close(
-                item.span,
-                status="shed",
-                shed_reason="deadline_expired",
-                waited=round(waited, 6),
-            )
             item.future.set_exception(
                 DeadlineExpired(
                     "deadline of %.3fs expired after %.3fs in queue"
@@ -627,14 +593,12 @@ class MinimizationGateway:
                 queue_wait=waited,
             )
         if not allowed:
-            self.spans.close(item.span, status="short_circuit")
             item.future.set_result(replies)
             return
         outcomes, attempts, hedged = await self._attempts(
             item, [item.cells[position] for position in allowed], remaining
         )
         runtime = self._clock() - item.admitted_at
-        degraded_cells = 0
         for position, outcome in zip(allowed, outcomes):
             index, method = item.cells[position]
             breaker = self._breaker(method)
@@ -648,7 +612,6 @@ class MinimizationGateway:
                 payload = outcome.payload
             else:
                 self._bump("degraded")
-                degraded_cells += 1
                 payload = self._fallback_payload(item.instances[index])
             replies[position] = GatewayReply(
                 method=method,
@@ -664,14 +627,6 @@ class MinimizationGateway:
         mreg = obs_metrics.active()
         if mreg is not None:
             mreg.observe("gateway.request_latency", runtime)
-        self.spans.close(
-            item.span,
-            status="ok" if degraded_cells == 0 else "degraded",
-            attempts=attempts,
-            hedged=hedged,
-            cells=len(item.cells),
-            degraded_cells=degraded_cells,
-        )
         item.future.set_result(replies)
 
     def _breaker(self, method: str):

@@ -59,6 +59,7 @@ entries are visible.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import signal
 import threading
@@ -67,7 +68,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.errors import (
     BudgetExceeded,
@@ -90,17 +91,6 @@ from repro.bdd.wire import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.obs.dist import (
-    GLOBAL_PHASES,
-    TRACE_DETAIL_EVERY,
-    PhaseAccumulator,
-    PhaseClock,
-    TraceContext,
-    TraceMerger,
-    build_parent_group,
-    request_trace_id,
-    synthesize_worker_spans,
-)
 
 #: Default wall-clock deadline (seconds) per request.
 DEFAULT_DEADLINE = 10.0
@@ -120,6 +110,89 @@ DETERMINISTIC = "deterministic"
 #: dense ids and bumping ``gc_generation`` — instead of just sweeping
 #: dead nodes to the free list.
 DEFAULT_NODE_WATERMARK = 1 << 16
+
+
+class PhaseClock:
+    """Accumulates one batch's named phase durations.
+
+    One clock per batch.  Each :meth:`phase` block adds its wall time
+    to ``durations[name]``: phase accounting is always on, a handful of
+    ``perf_counter`` pairs per batch.
+    """
+
+    __slots__ = ("durations",)
+
+    def __init__(self) -> None:
+        self.durations: Dict[str, float] = {}
+
+    @contextmanager
+    def phase(self, name: str) -> Iterator[None]:
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            self.durations[name] = self.durations.get(name, 0.0) + elapsed
+
+
+class PhaseAccumulator:
+    """Exact per-phase latency distributions (p50/p95/p99 by rank).
+
+    :class:`~repro.obs.metrics.MetricsRegistry` histograms keep O(1)
+    count/total/min/max summaries; tail percentiles need the samples.
+    Request volumes here are sweep-sized (hundreds, not millions), so
+    the accumulator simply keeps every observation, guarded by a lock
+    because the pool observes from its dispatcher threads.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._samples: Dict[str, List[float]] = {}
+
+    def observe(self, phase: str, seconds: float) -> None:
+        with self._lock:
+            self._samples.setdefault(phase, []).append(seconds)
+
+    def merge(self, durations: Dict[str, float]) -> None:
+        """Observe one request's ``{phase: seconds}`` dict."""
+        for phase, seconds in durations.items():
+            self.observe(phase, float(seconds))
+
+    def reset(self) -> None:
+        with self._lock:
+            self._samples.clear()
+
+    @staticmethod
+    def _rank(ordered: Sequence[float], q: float) -> float:
+        """Nearest-rank percentile of an ascending sample list."""
+        index = max(0, math.ceil(q * len(ordered)) - 1)
+        return ordered[index]
+
+    def summary(self) -> Dict[str, Dict[str, float]]:
+        """``{phase: {count,total,p50,p95,p99,max}}`` over all samples."""
+        with self._lock:
+            samples = {
+                phase: sorted(values)
+                for phase, values in self._samples.items()
+            }
+        return {
+            phase: {
+                "count": len(ordered),
+                "total": sum(ordered),
+                "p50": self._rank(ordered, 0.50),
+                "p95": self._rank(ordered, 0.95),
+                "p99": self._rank(ordered, 0.99),
+                "max": ordered[-1],
+            }
+            for phase, ordered in sorted(samples.items())
+            if ordered
+        }
+
+
+#: Process-global phase accumulator: the pool mirrors every request's
+#: phases here so ``repro-bdd metrics`` can export exact percentiles
+#: without holding a reference to any particular pool.
+GLOBAL_PHASES = PhaseAccumulator()
 
 
 @dataclass
@@ -542,62 +615,35 @@ def _serve_batch(request: dict, conn, host: _WarmHost) -> bool:
     — the parent resets its watchdog window per cell and keeps every
     streamed result even when a later cell hangs and gets this worker
     killed.  The last reply is marked ``done`` and carries the batch's
-    accumulated phase durations, warm-host counters and (when sampled
-    for detail) the span bundle.  An undecodable envelope gets a single
-    ``done`` reply with status ``batch_error`` instead.  Returns
-    ``False`` when the pipe died (the worker exits its serve loop).
+    accumulated phase durations and warm-host counters.  An
+    undecodable envelope gets a single ``done`` reply with status
+    ``batch_error`` instead.  Returns ``False`` when the pipe died (the
+    worker exits its serve loop).
     """
     started = time.perf_counter()
-    context = request.get("trace")
-    bundle_tracer = None
-    batch_span = obs_trace._NULL_SPAN
-    if context is not None and context.get("detail", True):
-        # A fresh, request-scoped tracer: span timestamps are relative
-        # to *this* request's start, which is exactly the shape the
-        # merger's logical-clock rebasing expects.  Only requests the
-        # pool sampled for detail record (and ship) real spans — phase
-        # spans for the rest are synthesized pool-side from the
-        # ``phases`` durations, which keeps tracing overhead on
-        # sub-millisecond requests near zero.
-        bundle_tracer = obs_trace.activate(obs_trace.Tracer())
-        batch_span = bundle_tracer.span(
-            "worker.request",
-            seq=context["seq"],
-            trace_id=context["trace_id"],
-            parent=context["parent_span"],
-        )
-    clock = PhaseClock(tracer=bundle_tracer)
+    clock = PhaseClock()
     try:
-        with batch_span:
-            try:
-                with clock.phase("worker.decode"):
-                    envelope = decode_batch(request["batch"])
-            except WireError as error:
-                last = {
-                    "status": "batch_error",
-                    "reason": "WireError: %s" % error,
-                    "kind": DETERMINISTIC,
-                }
-            else:
-                shared = _SharedInstances(envelope.instances, host)
-                final = len(envelope.cells) - 1
-                for position, (index, method) in enumerate(envelope.cells):
-                    last = _run_cell(
-                        request, clock, host, shared, index, method
-                    )
-                    last["cell"] = position
-                    if position < final and not _send(conn, last):
-                        return False
-    finally:
-        if bundle_tracer is not None:
-            obs_trace.deactivate()
+        with clock.phase("worker.decode"):
+            envelope = decode_batch(request["batch"])
+    except WireError as error:
+        last = {
+            "status": "batch_error",
+            "reason": "WireError: %s" % error,
+            "kind": DETERMINISTIC,
+        }
+    else:
+        shared = _SharedInstances(envelope.instances, host)
+        final = len(envelope.cells) - 1
+        for position, (index, method) in enumerate(envelope.cells):
+            last = _run_cell(request, clock, host, shared, index, method)
+            last["cell"] = position
+            if position < final and not _send(conn, last):
+                return False
     phases = dict(clock.durations)
     phases["worker.request"] = time.perf_counter() - started
     last["done"] = True
     last["phases"] = phases
     last["warm"] = {"resets": host.resets, "compactions": host.compactions}
-    if bundle_tracer is not None:
-        last["spans"] = bundle_tracer.events
     return _send(conn, last)
 
 
@@ -605,9 +651,8 @@ def _worker_main(conn, memory_limit: Optional[int]) -> None:
     """Worker process entry: serve batches until the sentinel."""
     _apply_memory_limit(memory_limit)
     # Under ``fork`` the child inherits the parent's active tracer.
-    # Recording into that copy is pure waste — the events can never
-    # reach the parent's file — and it would pollute the per-request
-    # bundles, so worker tracing is strictly request-scoped.
+    # Recording into that copy is pure waste: the events can never
+    # reach the parent's file.
     obs_trace.deactivate()
     host = _WarmHost()
     while True:
@@ -809,10 +854,7 @@ class MinimizationPool:
         self._warm: Dict[int, Dict[str, int]] = {}
         self._closed = False
         self._probe_token = 0
-        # Distributed-trace plumbing: the merger buffers per-request
-        # span groups keyed by admission sequence; the accumulator
-        # keeps exact phase latency samples for percentile reporting.
-        self._merger = TraceMerger()
+        # Exact phase latency samples for percentile reporting.
         self._phases = PhaseAccumulator()
         # Worker free list: every member is either idle or busy; both
         # collections (and every counter above) are guarded by _cv.
@@ -850,7 +892,6 @@ class MinimizationPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        self.flush_trace()
 
     def __enter__(self) -> "MinimizationPool":
         return self
@@ -863,17 +904,6 @@ class MinimizationPool:
         with self._cv:
             members = list(self._idle) + list(self._busy)
         return [worker.pid for worker in members]
-
-    def flush_trace(self) -> int:
-        """Emit buffered request span groups into the active tracer.
-
-        Groups are flushed in admission-sequence order (deterministic
-        regardless of worker completion order) with per-process track
-        metadata, so the resulting file is one merged Chrome-trace
-        timeline.  Called automatically by :meth:`close`; returns the
-        number of events emitted.
-        """
-        return self._merger.flush(obs_trace.active())
 
     def phase_summary(self) -> Dict[str, Dict[str, float]]:
         """Exact per-phase latency percentiles for this pool's
@@ -1116,7 +1146,6 @@ class MinimizationPool:
         per_cell = self.deadline if deadline is None else deadline
         if per_cell <= 0:
             raise ValueError("deadline must be positive")
-        tracer = obs_trace.active()
         t_entry = time.perf_counter()
         worker = self._checkout(block=block)
         if worker is None:
@@ -1136,30 +1165,10 @@ class MinimizationPool:
             "step_budget": self.step_budget,
             "watermark": self.node_watermark,
         }
-        label = methods[0] if num_cells == 1 else "batch[%d]" % num_cells
-        context: Optional[TraceContext] = None
-        if tracer is not None:
-            seq = self._merger.next_seq()
-            self._merger.register_process(tracer._pid, "pool")
-            context = TraceContext(
-                trace_id=request_trace_id(seq),
-                seq=seq,
-                parent_span="pool.dispatch",
-                detail=seq % TRACE_DETAIL_EVERY == 0,
-            )
         started = time.monotonic()
         while True:
             worker.served += 1
             t_send = time.perf_counter()
-            if context is not None:
-                # The logical-clock offset: the parent-timeline µs at
-                # which this envelope hits the pipe.  The worker's span
-                # bundle is recorded relative to its own receipt and
-                # rebased here at merge time, so no cross-process clock
-                # agreement is assumed.  Refreshed on the crash-retry
-                # path — the retry is a new send.
-                context.sent_at_us = tracer.offset_us(t_send)
-                request["trace"] = context.to_wire()
             if _send(worker.conn, request):
                 break
             # The worker died between requests; replace it and retry
@@ -1257,20 +1266,9 @@ class MinimizationPool:
                     TRANSIENT,
                 )
             failed_cells += not outcome.ok
-        if status == "ok" and failed_cells:
-            status = "degraded"
         if mreg is not None and 0 < failed_cells < num_cells:
             mreg.inc("serve.batch_partial_failures")
-        self._finish_request(
-            context,
-            label,
-            status,
-            t_entry,
-            t_checkout,
-            t_send,
-            reply=last,
-            worker_pid=worker.pid,
-        )
+        self._finish_request(t_entry, t_checkout, t_send, reply=last)
         return outcomes
 
     def probe(self, timeout: float = 1.0) -> Dict[str, int]:
@@ -1331,38 +1329,26 @@ class MinimizationPool:
 
     def _finish_request(
         self,
-        context: Optional[TraceContext],
-        method: str,
-        status: str,
         t_entry: float,
         t_checkout: float,
         t_send: float,
         reply: Optional[dict] = None,
-        worker_pid: Optional[int] = None,
     ) -> None:
-        """Phase accounting and span-group finalization for one request.
+        """Phase accounting for one request.
 
         Runs on the dispatching thread for **every** exit path —
-        success, degraded, watchdog-killed, crashed — so a failed
-        request still closes its root span (tagged with ``status``)
-        instead of leaking a partial trace.  Phase durations are
-        observed unconditionally; span groups only when tracing.
-        Requests sampled for detail ship a real worker span bundle;
-        for the rest the worker track is synthesized from the reply's
-        phase durations, so the merged timeline stays complete either
-        way.
+        success, degraded, watchdog-killed, crashed — so the ledger
+        sees failed requests too.
         """
         t_done = time.perf_counter()
-        # The *ledger* entry named ``pool.dispatch`` is pool-side
+        # The ledger entry named ``pool.dispatch`` is pool-side
         # dispatch overhead: the send->reply round trip minus the wall
         # time the worker reports for itself (``worker.request``) —
         # i.e. pickling, pipe transport and scheduling.  When the
         # worker never reported (watchdog kill, crash), the whole
         # round trip is attributed to dispatch.  Ledger phases are
-        # therefore non-overlapping — ``pool.queue + pool.dispatch +
-        # worker.request`` sums to the request wall — unlike the trace
-        # *span* of the same name, which keeps interval semantics on
-        # the merged timeline.
+        # therefore non-overlapping: ``pool.queue + pool.dispatch +
+        # worker.request`` sums to the request wall.
         dispatch_wall = t_done - t_send
         phases: Dict[str, float] = {
             "pool.queue": t_checkout - t_entry,
@@ -1381,39 +1367,6 @@ class MinimizationPool:
         if mreg is not None:
             for name, seconds in phases.items():
                 mreg.observe("phase." + name, seconds)
-        if context is None:
-            return
-        tracer = obs_trace.active()
-        if tracer is None:  # pragma: no cover - tracer raced off
-            return
-        parent_events = build_parent_group(
-            tracer,
-            context,
-            method,
-            status,
-            t_entry,
-            t_checkout,
-            t_send,
-            t_done,
-        )
-        if worker_pid is not None:
-            self._merger.register_process(
-                worker_pid, "worker-%d" % worker_pid
-            )
-        bundle = (reply or {}).get("spans")
-        if bundle is None and worker_phases:
-            # Synthesized events are emitted directly in merged
-            # coordinates, so they ride along as parent-timeline
-            # events instead of paying the bundle rebase.
-            parent_events = parent_events + synthesize_worker_spans(
-                worker_phases, worker_pid, context
-            )
-        self._merger.add_group(
-            context.seq,
-            parent_events,
-            context=context,
-            bundle=bundle,
-        )
 
     def _wire_failure(
         self,

@@ -10,10 +10,11 @@ heuristic)`` signature, emitting reproducer artifacts.
 Determinism contract: with the same :class:`FuzzConfig` the corpus
 fingerprints, oracle findings, non-chaos lane results, and shrunk
 payloads are all identical, and :meth:`FuzzReport.fingerprint` hashes
-exactly that deterministic content.  The chaos lane's per-request
-statuses depend on fault timing, so only its *violations* (which must
-always be empty) participate in the fingerprint; its status counts are
-reported informationally.
+exactly that deterministic content, including the inprocess lane's
+canonical cover bytes, so a pinned fingerprint also pins every cover.
+The chaos lane's per-request statuses depend on fault timing, so only
+its *violations* (which must always be empty) participate in the
+fingerprint; its status counts are reported informationally.
 
 All stage counts flow into the ``repro.obs`` metrics registry when one
 is active: ``verify.instances``, ``verify.oracle_checks``,
@@ -85,6 +86,10 @@ class FuzzReport:
     )
     shrunk: List[Dict[str, object]] = field(default_factory=list)
     reproducers: List[Reproducer] = field(default_factory=list)
+    #: The inprocess lane's ``(instance digest, method, cover)`` cells:
+    #: the cover's canonical wire bytes as hex, or the cell's status
+    #: when it produced no cover.
+    covers: List[Tuple[str, str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -101,6 +106,7 @@ class FuzzReport:
             "oracle_checks": self.oracle_checks,
             "oracle_findings": self.oracle_findings,
             "lane_violations": sorted(self.lane_violations),
+            "covers": sorted(self.covers),
             "shrunk": [
                 {
                     key: value
@@ -250,6 +256,16 @@ def run_fuzz(
             counts = report.lane_status_counts.setdefault(lane_name, {})
             for result in results:
                 counts[result.status] = counts.get(result.status, 0) + 1
+                if lane_name == "inprocess":
+                    report.covers.append(
+                        (
+                            result.instance.digest,
+                            result.method,
+                            result.status
+                            if result.cover_payload is None
+                            else result.cover_payload.hex(),
+                        )
+                    )
             by_digest = {
                 instance.digest: instance for instance in instances
             }

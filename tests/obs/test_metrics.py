@@ -5,8 +5,10 @@ import pytest
 from repro.bdd.manager import Manager
 from repro.obs import metrics
 from repro.obs.metrics import (
+    SERVE_COUNTER_KEYS,
     MetricsRegistry,
     diff_statistics,
+    ensure_serve_counters,
     merge_counts,
 )
 
@@ -119,6 +121,21 @@ class TestMergeCounts:
         merge_counts(total, {"ite_calls": 7, "peak_nodes": 4})
         assert total["ite_calls"] == 12
         assert total["peak_nodes"] == 10
+
+
+class TestEnsureServeCounters:
+    def test_zero_fills_complete_key_set(self):
+        registry = MetricsRegistry()
+        ensure_serve_counters(registry)
+        counters = registry.snapshot()["counters"]
+        assert set(SERVE_COUNTER_KEYS) <= set(counters)
+        assert all(counters[key] == 0 for key in SERVE_COUNTER_KEYS)
+
+    def test_does_not_clobber_recorded_counts(self):
+        registry = MetricsRegistry()
+        registry.inc("gateway.hedges", 5)
+        ensure_serve_counters(registry)
+        assert registry.counter("gateway.hedges") == 5
 
 
 class TestManagerCounters:

@@ -31,11 +31,6 @@ class TestTracer:
         assert by_name["inner"]["args"]["depth"] == 1
         validate_events(tracer.events)
 
-    def test_instant_event(self):
-        tracer = Tracer()
-        tracer.instant("marker", note="x")
-        assert tracer.events[0]["ph"] == "i"
-
     def test_write_is_valid_json(self, tmp_path):
         tracer = Tracer()
         with tracer.span("a"):

@@ -17,8 +17,11 @@ from repro.core.registry import (
 )
 from repro.serve.pool import (
     DETERMINISTIC,
+    GLOBAL_PHASES,
     TRANSIENT,
     MinimizationPool,
+    PhaseAccumulator,
+    PhaseClock,
     ServeResult,
     pack_cells,
 )
@@ -258,6 +261,62 @@ class TestBatchedDispatch:
             stats = pool.statistics()
         assert all(r.ok for r in first) and all(r.ok for r in second)
         assert stats["warm_resets"] >= 1
+
+
+class TestPhaseLedger:
+    def test_clock_accumulates_durations(self):
+        clock = PhaseClock()
+        with clock.phase("worker.decode"):
+            pass
+        with clock.phase("worker.decode"):
+            pass
+        assert clock.durations["worker.decode"] >= 0
+        assert set(clock.durations) == {"worker.decode"}
+
+    def test_nearest_rank_percentiles_are_exact(self):
+        acc = PhaseAccumulator()
+        for value in range(100, 0, -1):  # 1..100, unsorted on purpose
+            acc.observe("phase", float(value))
+        summary = acc.summary()["phase"]
+        assert summary["count"] == 100
+        assert summary["p50"] == 50.0
+        assert summary["p95"] == 95.0
+        assert summary["p99"] == 99.0
+        assert summary["max"] == 100.0
+
+    def test_merge_and_reset(self):
+        acc = PhaseAccumulator()
+        acc.merge({"a": 1.0, "b": 2.0})
+        assert set(acc.summary()) == {"a", "b"}
+        acc.reset()
+        assert acc.summary() == {}
+
+    def test_batches_are_accounted_without_a_tracer(self):
+        # The ledger is always on: 12 cells over 2 workers are two
+        # batch dispatches, each observed once by the pool and by the
+        # process-global accumulator, with no tracer active.
+        from repro.obs import trace as obs_trace
+
+        assert obs_trace.active() is None
+        GLOBAL_PHASES.reset()
+        manager, f, c = _instance()
+        with MinimizationPool(workers=2) as pool:
+            replies = pool.run_batch(manager, [("osm_bt", f, c)] * 12)
+            summary = pool.phase_summary()
+        assert all(reply.ok for reply in replies)
+        for ledger in (summary, GLOBAL_PHASES.summary()):
+            assert ledger["worker.compute"]["count"] == 2
+            assert ledger["pool.dispatch"]["count"] == 2
+            assert "pool.ipc" not in ledger
+            # pool.dispatch is the round trip minus the worker's own
+            # wall, so the three phases do not overlap.
+            request_wall = ledger["worker.request"]["total"]
+            non_overlapping = (
+                ledger["pool.queue"]["total"]
+                + ledger["pool.dispatch"]["total"]
+                + request_wall
+            )
+            assert non_overlapping > request_wall
 
 
 def test_pack_cells_carries_only_referenced_instances():

@@ -41,15 +41,18 @@ def _flaky_while_flag(flag_path):
     """
 
     def flaky(manager, f, c):
-        while os.path.exists(flag_path):
+        # The whole loop sits inside the ``try``: the worker's deadline
+        # alarm can land anywhere in it, including the flag check, and
+        # must be swallowed there too.  The fault drills exercise the
+        # watchdog SIGKILL path, so the hang must survive the
+        # cooperative deadline.
+        while True:
             try:
-                time.sleep(0.01)
+                while os.path.exists(flag_path):
+                    time.sleep(0.01)
+                return f
             except Exception:
-                # Swallow the worker's deadline alarm: the fault
-                # drills exercise the watchdog SIGKILL path, so the
-                # hang must survive the cooperative deadline.
                 continue
-        return f
 
     return flaky
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -242,6 +244,23 @@ class TestObservability:
         # tlc's constrain/osm_bt cells do no ITE work at all; styr's
         # osm_bt cells do, and reuse the ITE table.
         assert total("total ite cache hits:") > 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the pool and gateway lanes require the fork start method",
+    )
+    def test_metrics_parallel_exports_complete_serve_key_set(self, capsys):
+        from repro.obs.metrics import SERVE_COUNTER_KEYS
+
+        assert main(
+            ["metrics", "tlc", "--max-iterations", "1", "--parallel", "1"]
+        ) == 0
+        out = capsys.readouterr().out
+        for key in SERVE_COUNTER_KEYS:
+            assert key in out, "missing counter %s in metrics output" % key
+        # Phase percentiles from the pooled lane ride along.
+        assert "phase percentiles" in out
+        assert "worker.compute" in out
 
     def test_observability_flags_parse(self):
         args = build_parser().parse_args(

@@ -37,6 +37,24 @@ def test_clean_run_is_ok_and_deterministic():
     assert first.corpus_fingerprints == second.corpus_fingerprints
 
 
+def test_fingerprint_sees_one_changed_cover_byte():
+    import dataclasses
+
+    config = FuzzConfig(
+        seed=40, methods=("constrain", "osm_bt"), shrink=False, **QUICK
+    )
+    report = run_fuzz(config)
+    assert report.covers
+    digest, method, cover = report.covers[0]
+    last = int(cover[-2:], 16)
+    changed = list(report.covers)
+    changed[0] = (digest, method, cover[:-2] + "%02x" % (last ^ 1))
+    same = dataclasses.replace(report, covers=list(report.covers))
+    other = dataclasses.replace(report, covers=changed)
+    assert same.fingerprint() == report.fingerprint()
+    assert other.fingerprint() != report.fingerprint()
+
+
 def test_deep_chains_pass_oracles_and_lanes():
     """Chains deeper than the recursion limit: the default fuzz
     heuristics, the oracles and the in-process lane all complete.  (The
