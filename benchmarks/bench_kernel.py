@@ -1,6 +1,6 @@
 """Kernel and collector baseline: the first recorded perf trajectory.
 
-Six measurements, written to ``BENCH_kernel.json`` next to this file:
+Seven measurements, written to ``BENCH_kernel.json`` next to this file:
 
 ``ite_throughput``
     ITE kernel steps per second on a cache-cold random-function
@@ -38,6 +38,18 @@ Six measurements, written to ``BENCH_kernel.json`` next to this file:
     its nodes and ITE-table entries are extra state the heuristics see
     — covers are unaffected, counters are not.
 
+``opt_lv_depth``
+    Seconds per level of ``opt_lv`` on ``deep_chain``-shaped instances
+    (``f`` the AND of the even levels, ``c`` the OR of the odd ones) of
+    2,400 and 9,600 levels, the minimum of three runs each.  The runs
+    alternate between the depths, and a run at 2,400 levels times four
+    chains, so both depths see the same host.  Every run is bounded by
+    a ``SIGALRM`` deadline: 5 s at 2,400 levels, and at 9,600 levels
+    the time that would already break the gate below, so a quadratic
+    ``opt_lv`` fails in seconds instead of running for minutes.
+    ``--quick`` fails when the time per level grows by more than 1.5x
+    or a depth has no run inside its deadline.
+
 ``relation_image``
     Product-machine self-equivalence by the relation image (tbk in
     ``--quick`` mode, s344 and s1238 in full mode).  The transition
@@ -55,8 +67,9 @@ Run::
 
 ``--quick`` shrinks the workloads and exits non-zero if the iterative
 kernel falls below ``--min-ratio`` (default 0.9) of the recursive
-throughput, the deep chain fails, gc stops flattening the sweep, the
-sanitizer slowdown reaches its bound, any replayed verdict of
+throughput, the deep chain fails, ``opt_lv``'s time per level is not
+flat in depth, gc stops flattening the sweep, the sanitizer slowdown
+reaches its bound, any replayed verdict of
 ``agree`` differs from the formula's, the two relation builds differ
 in canonical wire bytes, the shipped build creates no fewer nodes than
 the fold, a self-equivalence verdict is wrong, or a quantification memo
@@ -70,6 +83,7 @@ import argparse
 import json
 import os
 import random
+import signal
 import sys
 import time
 
@@ -254,6 +268,136 @@ def measure_deep_chain(manager_cls, depth):
     if not (result == expected):
         raise SystemExit("deep-chain ite returned a wrong function")
     return elapsed, None
+
+
+# ----------------------------------------------------------------------
+# opt_lv depth
+# ----------------------------------------------------------------------
+OPT_LV_DEPTHS = (2_400, 9_600)
+
+#: The most opt_lv's time per level may grow from the first depth to
+#: the last.
+OPT_LV_MAX_GROWTH = 1.5
+
+#: Deadline of one opt_lv run on the shallowest chain.  The one-pass
+#: opt_lv takes ~0.04 s there on a 2-CPU host; the per-boundary
+#: re-gather it replaced took ~17 s.
+OPT_LV_FIRST_DEADLINE = 5.0
+
+
+class _OverDeadline(Exception):
+    """An opt_lv run outlived its ``SIGALRM`` deadline."""
+
+
+class _RunAlarm:
+    """One-shot wall-clock deadline by ``setitimer``.
+
+    The governor's deadline polls on node and ITE events, and the
+    per-boundary gathers of a quadratic ``opt_lv`` fire none, so only
+    a timer can bound them.
+    """
+
+    def __init__(self):
+        self.armed = False
+
+    def __call__(self, signum, frame):
+        # A disarmed delivery (raced with the disarm) is swallowed.
+        if self.armed:
+            self.armed = False
+            raise _OverDeadline()
+
+    def arm(self, seconds):
+        self.armed = True
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+
+    def disarm(self):
+        self.armed = False
+        signal.setitimer(signal.ITIMER_REAL, 0)
+
+
+def _opt_lv_chain(manager, levels):
+    """``f`` = AND of the even levels, ``c`` = OR of the odd ones: a
+    member of the ``deep_chain`` corpus family, one node per level."""
+    f, c = ONE, ZERO
+    for level in range(levels - 1, -1, -1):
+        if level % 2:
+            c = manager.make_node(level, ONE, c)
+        else:
+            f = manager.make_node(level, f, ZERO)
+    return f, c
+
+
+def measure_opt_lv_depth(max_growth, depths=OPT_LV_DEPTHS, repeats=3):
+    """Best seconds per level of opt_lv on chains of each depth.
+
+    Each of ``repeats`` rounds times every depth once, shallowest
+    first, so a slow spell of the host falls on all depths alike, and
+    a timing at a shallower depth runs several chains, so that every
+    timing covers as many levels as one chain of the deepest.  Every
+    timing has a deadline: ``OPT_LV_FIRST_DEADLINE`` at the first
+    depth, and at the others the time at which their cost per level
+    would already exceed ``max_growth`` times the first depth's best so
+    far.  A timing that outlives its deadline is counted as over.
+    """
+    from repro.core.levels import opt_lv
+
+    deepest = max(depths)
+    best = dict.fromkeys(depths)
+    over = dict.fromkeys(depths, 0)
+    alarm = _RunAlarm()
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        for _ in range(repeats):
+            for levels in depths:
+                chains = deepest // levels
+                first = best[depths[0]]
+                if levels == depths[0]:
+                    deadline = OPT_LV_FIRST_DEADLINE
+                elif first is None:
+                    over[levels] += 1
+                    continue
+                else:
+                    deadline = first * max_growth * levels * chains
+                instances = []
+                for _ in range(chains):
+                    manager = Manager()
+                    manager.ensure_vars(levels)
+                    f, c = _opt_lv_chain(manager, levels)
+                    instances.append((manager, f, c))
+                started = time.perf_counter()
+                try:
+                    alarm.arm(deadline)
+                    for manager, f, c in instances:
+                        opt_lv(manager, f, c)
+                    alarm.disarm()
+                except _OverDeadline:
+                    over[levels] += 1
+                    continue
+                per_level = (time.perf_counter() - started) / (levels * chains)
+                if best[levels] is None or per_level < best[levels]:
+                    best[levels] = per_level
+    finally:
+        alarm.disarm()
+        signal.signal(signal.SIGALRM, previous)
+    rows = [
+        {
+            "levels": levels,
+            "chains_per_run": deepest // levels,
+            "runs_over_deadline": over[levels],
+            "us_per_level": (
+                None if best[levels] is None else round(best[levels] * 1e6, 2)
+            ),
+        }
+        for levels in depths
+    ]
+    growth = None
+    if best[depths[0]] is not None and best[depths[-1]] is not None:
+        growth = best[depths[-1]] / best[depths[0]]
+    return {
+        "depths": rows,
+        "growth": None if growth is None else round(growth, 3),
+        "max_growth": max_growth,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -539,6 +683,25 @@ def main(argv=None) -> int:
         )
     )
 
+    depth_record = measure_opt_lv_depth(OPT_LV_MAX_GROWTH)
+    print(
+        "opt_lv depth: %s; growth %s (gate: <= %.2fx)"
+        % (
+            ", ".join(
+                "%d levels %s" % (
+                    row["levels"],
+                    "no run inside its deadline"
+                    if row["us_per_level"] is None
+                    else "%.1f us/level" % row["us_per_level"],
+                )
+                for row in depth_record["depths"]
+            ),
+            "n/a" if depth_record["growth"] is None
+            else "%.2fx" % depth_record["growth"],
+            OPT_LV_MAX_GROWTH,
+        )
+    )
+
     sweep = measure_gc_sweep(max_iterations, benchmarks)
     print(
         "gc sweep peak num_nodes: %d with gc (%d collections, %d nodes "
@@ -617,6 +780,7 @@ def main(argv=None) -> int:
             "recursive_error": rec_err,
         },
         "gc_sweep": sweep,
+        "opt_lv_depth": depth_record,
         "relation_image": relation,
         "sanitizer_overhead": {
             "plain_steps_per_sec": round(plain_rate),
@@ -635,6 +799,27 @@ def main(argv=None) -> int:
     if iter_err is not None:
         failed.append(
             "iterative kernel failed the deep chain: %s" % iter_err
+        )
+    growth = depth_record["growth"]
+    if growth is None:
+        failed.append(
+            "opt_lv had no run inside its deadline at %s levels"
+            % " and ".join(
+                "%d" % row["levels"]
+                for row in depth_record["depths"]
+                if row["us_per_level"] is None
+            )
+        )
+    elif growth > OPT_LV_MAX_GROWTH:
+        failed.append(
+            "opt_lv time per level grew %.2fx from %d to %d levels "
+            "(gate: <= %.2fx)"
+            % (
+                growth,
+                depth_record["depths"][0]["levels"],
+                depth_record["depths"][-1]["levels"],
+                OPT_LV_MAX_GROWTH,
+            )
         )
     if ratio < args.min_ratio:
         failed.append(

@@ -1277,7 +1277,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="NAME",
         help="corpus families (default: random_dnf random_dag "
-        "circuit_cone fsm_reach; deep_chain is opt-in)",
+        "circuit_cone fsm_reach; deep_chain and quick_suite are opt-in)",
     )
     fuzz_parser.add_argument(
         "--methods",

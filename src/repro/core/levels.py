@@ -21,12 +21,18 @@ replaced.  The three steps:
 
 ``opt_lv`` applies tsm level minimization at every level top-down and
 returns the final ``f'`` (a valid cover, since ``[f', c']`` i-covers the
-input at every step and ``f'`` covers ``[f', c']``).
+input at every step and ``f'`` covers ``[f', c']``).  It does so in one
+pass rather than by calling :func:`minimize_at_level` per boundary,
+which re-gathers and rebuilds everything above each boundary: the
+gathered pairs are carried from boundary to boundary under a virtual
+top, a boundary is solved only when it can change the pair, and ``f'``
+is built once at the end.  The schedule's level steps still call
+:func:`minimize_at_level` one boundary at a time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import Manager, ONE, ZERO, TERMINAL_LEVEL
 from repro.core.criteria import Criterion
@@ -141,23 +147,25 @@ def rebuild_with_replacements(
 def _solve_fmm(
     manager: Manager,
     pairs: Sequence[Pair],
-    paths: Dict[Pair, Path],
+    path_of: Callable[[int], Path],
     criterion: Criterion,
     order_by_degree: bool,
     use_distance_weights: bool,
 ) -> Dict[Pair, Pair]:
-    """Compute the replacement map for one batch of gathered pairs."""
+    """Compute the replacement map for one batch of gathered pairs.
+
+    ``path_of`` maps an index into ``pairs`` to that pair's first path;
+    it is called only when a distance weight needs the path.
+    """
     replacement: Dict[Pair, Pair] = {}
     if len(pairs) < 2:
         return replacement
     mreg = obs_metrics.active()
     if criterion is Criterion.TSM:
         graph = UndirectedMatchingGraph(manager, pairs)
-        path_list: Optional[List[Path]] = None
-        if use_distance_weights:
-            path_list = [paths[pair] for pair in pairs]
         cliques = graph.clique_cover(
-            order_by_degree=order_by_degree, paths=path_list
+            order_by_degree=order_by_degree,
+            paths=path_of if use_distance_weights else None,
         )
         for clique in cliques:
             if len(clique) < 2:
@@ -226,7 +234,7 @@ def minimize_at_level(
                 _solve_fmm(
                     manager,
                     batch,
-                    paths,
+                    lambda index, batch=batch: paths[batch[index]],
                     criterion,
                     order_by_degree,
                     use_distance_weights,
@@ -235,6 +243,207 @@ def minimize_at_level(
         if not replacement:
             return f, c
         return rebuild_with_replacements(manager, f, c, boundary, replacement)
+
+
+class _Frontier:
+    """The pair structure above the boundary, carried boundary to boundary.
+
+    Every node has an int id and a ``level``.  A *leaf* id stands for
+    one gathered pair (``pair[id]``, rooted at ``level[id]``, at or
+    below the boundary); the leaves listed in ``entries`` are exactly
+    what :func:`gather_at_level` would return on the rebuilt pair, in
+    its discovery order.  Expanding a leaf rooted just above the next
+    boundary turns the same id into a *virtual node* ``(level, then
+    id, else id)``, so its parents never change.  Virtual nodes are
+    hash-consed on that triple, and one whose two halves become equal
+    is an alias of its child, exactly as ``make_node`` would treat the
+    rebuilt pair; ``forward`` records aliases and merges
+    (``forward[id] == id`` for a live id).  ``link`` holds each id's
+    first path as a chain ``(parent id, bit)``, so a path is built only
+    when a distance weight needs it.
+    """
+
+    def __init__(self, manager: Manager, f: int, c: int):
+        self.manager = manager
+        self.pair: List[Optional[Pair]] = []
+        self.level: List[int] = []
+        self.kids: List[Optional[Pair]] = []
+        self.forward: List[int] = []
+        self.parents: List[List[int]] = []
+        self.link: List[Optional[Tuple[int, int]]] = []
+        self.unique: Dict[Tuple[int, int, int], int] = {}
+        root = self._new_leaf((f, c), None)
+        self.entries: List[int] = [root]
+        self.leaf_of: Dict[Pair, int] = {(f, c): root}
+
+    def _new_leaf(self, pair: Pair, link: Optional[Tuple[int, int]]) -> int:
+        index = len(self.pair)
+        level = self.manager.level
+        self.pair.append(pair)
+        self.level.append(min(level(pair[0]), level(pair[1])))
+        self.kids.append(None)
+        self.forward.append(index)
+        self.parents.append([])
+        self.link.append(link)
+        return index
+
+    def resolve(self, index: int) -> int:
+        """The live id that ``index`` was merged into or aliased to."""
+        forward = self.forward
+        live = index
+        while forward[live] != live:
+            live = forward[live]
+        while forward[index] != live:
+            forward[index], index = live, forward[index]
+        return live
+
+    def expand(self, level: int) -> None:
+        """Split the entries rooted at ``level``: the next boundary's
+        entries, each along the first path a fresh gather would take."""
+        branches = self.manager.branches
+        old_leaf_of = self.leaf_of
+        leaf_of: Dict[Pair, int] = {}
+        entries: List[int] = []
+        for index in self.entries:
+            pair = self.pair[index]
+            if self.level[index] != level:
+                if pair not in leaf_of:
+                    leaf_of[pair] = index
+                    entries.append(index)
+                continue
+            f_then, f_else = branches(pair[0], level)
+            c_then, c_else = branches(pair[1], level)
+            halves = []
+            # Else first, as the gather's depth-first walk goes.
+            for bit, child in ((0, (f_else, c_else)), (1, (f_then, c_then))):
+                child_index = leaf_of.get(child)
+                if child_index is None:
+                    child_index = old_leaf_of.get(child)
+                    if child_index is None:
+                        child_index = self._new_leaf(child, (index, bit))
+                    else:
+                        # An entry further on is reached here first:
+                        # this is its first path now.
+                        self.link[child_index] = (index, bit)
+                    leaf_of[child] = child_index
+                    entries.append(child_index)
+                self.parents[child_index].append(index)
+                halves.append(child_index)
+            else_index, then_index = halves
+            self.pair[index] = None
+            self.kids[index] = (then_index, else_index)
+            self.unique[(level, then_index, else_index)] = index
+        self.entries = entries
+        self.leaf_of = leaf_of
+
+    def apply(self, replacement: Dict[Pair, Pair]) -> None:
+        """Substitute the entries, as a rebuild and a fresh gather would.
+
+        The first entry mapped to a pair keeps its id and its path; the
+        later ones merge into it.  Merges then propagate upwards: a
+        virtual node whose halves now coincide collapses into its
+        child, one equal to another node merges into it.
+        """
+        level = self.manager.level
+        leaf_of: Dict[Pair, int] = {}
+        entries: List[int] = []
+        work: List[int] = []
+        for index in self.entries:
+            pair = self.pair[index]
+            new_pair = replacement.get(pair, pair)
+            survivor = leaf_of.get(new_pair)
+            if survivor is None:
+                leaf_of[new_pair] = index
+                entries.append(index)
+                if new_pair != pair:
+                    self.pair[index] = new_pair
+                    self.level[index] = min(
+                        level(new_pair[0]), level(new_pair[1])
+                    )
+            else:
+                self._retire(index, survivor, work)
+        self.entries = entries
+        self.leaf_of = leaf_of
+        unique = self.unique
+        while work:
+            node = work.pop()
+            if self.forward[node] != node:
+                continue
+            then_index, else_index = self.kids[node]
+            new_then = self.resolve(then_index)
+            new_else = self.resolve(else_index)
+            if new_then == then_index and new_else == else_index:
+                continue
+            node_level = self.level[node]
+            key = (node_level, then_index, else_index)
+            if unique.get(key) == node:
+                del unique[key]
+            if new_then == new_else:
+                self._retire(node, new_then, work)
+                continue
+            new_key = (node_level, new_then, new_else)
+            twin = unique.get(new_key)
+            if twin is None:
+                unique[new_key] = node
+                self.kids[node] = (new_then, new_else)
+            else:
+                self._retire(node, twin, work)
+
+    def _retire(self, index: int, survivor: int, work: List[int]) -> None:
+        self.forward[index] = survivor
+        self.parents[survivor].extend(self.parents[index])
+        work.extend(self.parents[index])
+
+    def path(self, index: int, length: int) -> Path:
+        """The first path of entry ``index`` over ``length`` levels."""
+        path = [PATH_FREE] * length
+        link = self.link
+        forward = self.forward
+        node_level = self.level
+        step = link[index]
+        while step is not None:
+            parent, bit = step
+            at = node_level[parent]
+            # A collapsed node now forwards to a node or pair below its
+            # own level: the rebuilt pair does not test that variable
+            # on this path.
+            if (
+                forward[parent] == parent
+                or node_level[self.resolve(parent)] == at
+            ):
+                path[at] = bit
+            step = link[parent]
+        return tuple(path)
+
+    def materialize_f(self) -> int:
+        """Build the ``f`` half of the carried pair with ``make_node``."""
+        make_node = self.manager.make_node
+        root = self.resolve(0)
+        value: Dict[int, int] = {}
+        stack = [root]
+        while stack:
+            index = stack[-1]
+            if index in value:
+                stack.pop()
+                continue
+            kids = self.kids[index]
+            if kids is None:
+                value[index] = self.pair[index][0]
+                stack.pop()
+                continue
+            then_index = self.resolve(kids[0])
+            else_index = self.resolve(kids[1])
+            pending = [
+                kid for kid in (else_index, then_index) if kid not in value
+            ]
+            if pending:
+                stack.extend(pending)
+                continue
+            value[index] = make_node(
+                self.level[index], value[then_index], value[else_index]
+            )
+            stack.pop()
+        return value[root]
 
 
 def opt_lv(
@@ -252,23 +461,57 @@ def opt_lv(
     (the paper uses tsm), then returns the final ``f'`` — a valid cover
     because every step preserves i-covering and ``f'`` covers the final
     pair.  For the degenerate ``c = 0`` returns ``ONE``.
+
+    One pass returns what :func:`minimize_at_level` at every boundary
+    would: the frontier is carried from one boundary to the next (see
+    :class:`_Frontier`), ``f'`` is built once at the end, and a
+    boundary is solved only when it can change the pair.  When no
+    entry is rooted just above it, a boundary gathers the pairs the
+    last solve left, and no two of those match: the greedy clique
+    cover leaves no vertex adjacent to a whole clique, and DMG sinks
+    have no out-edges.  When the pairs took more than one batch, the
+    batches re-slice after a merge, so that holds only when the last
+    solve replaced nothing.
     """
     if c == ZERO:
         return ONE
     support = manager.support_multi((f, c))
     if not support:
         return f
-    deepest = max(support)
-    current_f, current_c = f, c
-    for boundary in range(1, deepest + 2):
-        current_f, current_c = minimize_at_level(
-            manager,
-            current_f,
-            current_c,
-            boundary,
-            criterion=criterion,
-            batch_size=batch_size,
-            order_by_degree=order_by_degree,
-            use_distance_weights=use_distance_weights,
-        )
-    return current_f
+    last = max(support) + 1
+    frontier = _Frontier(manager, f, c)
+    mreg = obs_metrics.active()
+    settled = True
+    boundary = 1
+    while boundary <= last:
+        rooted = min(frontier.level[index] for index in frontier.entries)
+        if rooted >= boundary:
+            if settled:
+                boundary = rooted + 1
+                continue
+        else:
+            frontier.expand(boundary - 1)
+        entries = frontier.entries
+        pairs = [frontier.pair[index] for index in entries]
+        if mreg is not None:
+            mreg.inc("levels.pairs_gathered", len(pairs))
+        replacement: Dict[Pair, Pair] = {}
+        size = batch_size or len(pairs)
+        for start in range(0, len(pairs), size):
+            replacement.update(
+                _solve_fmm(
+                    manager,
+                    pairs[start : start + size],
+                    lambda index, start=start, length=boundary: (
+                        frontier.path(entries[start + index], length)
+                    ),
+                    criterion,
+                    order_by_degree,
+                    use_distance_weights,
+                )
+            )
+        if replacement:
+            frontier.apply(replacement)
+        settled = not replacement or len(pairs) <= size
+        boundary += 1
+    return frontier.materialize_f()

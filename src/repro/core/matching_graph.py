@@ -19,7 +19,7 @@ structure depends on the criterion:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd.manager import Manager
 from repro.core.criteria import Criterion, matches
@@ -145,14 +145,15 @@ class UndirectedMatchingGraph:
     def clique_cover(
         self,
         order_by_degree: bool = True,
-        paths: Optional[Sequence[Path]] = None,
+        paths: Optional[Callable[[int], Path]] = None,
     ) -> List[List[int]]:
         """Greedy clique cover (the paper's algorithm + optimizations).
 
         ``order_by_degree`` processes seed vertices in decreasing degree
-        order (first optimization); ``paths`` enables the ascending
-        distance-weight edge ordering (second optimization).  Returns a
-        partition of the vertices into cliques.
+        order (first optimization); ``paths`` maps a vertex to its path
+        and enables the ascending distance-weight edge ordering (second
+        optimization).  Returns a partition of the vertices into
+        cliques.
         """
         count = len(self.functions)
         if order_by_degree:
@@ -164,45 +165,60 @@ class UndirectedMatchingGraph:
             order = list(range(count))
         covered = [False] * count
         cliques: List[List[int]] = []
+        path_cache: Dict[int, Path] = {}
         with obs_trace.span("umg.clique_cover", vertices=count):
             for seed in order:
                 if covered[seed]:
                     continue
                 clique = [seed]
                 covered[seed] = True
+                # The uncovered vertices adjacent to every member: the
+                # only ones a grow step may add.
+                qualifying = {
+                    v for v in self.neighbors[seed] if not covered[v]
+                }
                 with obs_trace.span("umg.clique_round", seed=seed):
-                    while True:
-                        added = self._grow_step(clique, covered, paths)
-                        if not added:
-                            break
+                    while qualifying:
+                        chosen = self._grow_step(
+                            clique, qualifying, paths, path_cache
+                        )
+                        clique.append(chosen)
+                        covered[chosen] = True
+                        qualifying &= self.neighbors[chosen]
                 cliques.append(clique)
         return cliques
 
+    @staticmethod
     def _grow_step(
-        self,
         clique: List[int],
-        covered: List[bool],
-        paths: Optional[Sequence[Path]],
-    ) -> bool:
-        """Add one qualifying vertex to the clique; return success."""
-        candidate_edges: List[Tuple[int, int, int]] = []
-        for member in clique:
-            for neighbor in self.neighbors[member]:
-                if covered[neighbor]:
-                    continue
-                if paths is not None:
-                    weight = path_distance(paths[member], paths[neighbor])
-                else:
-                    weight = 0
-                candidate_edges.append((weight, member, neighbor))
-        candidate_edges.sort()
-        clique_set = set(clique)
-        for _, _, candidate in candidate_edges:
-            if clique_set <= self.neighbors[candidate] | {candidate}:
-                clique.append(candidate)
-                covered[candidate] = True
-                return True
-        return False
+        qualifying: Set[int],
+        paths: Optional[Callable[[int], Path]],
+        path_cache: Dict[int, Path],
+    ) -> int:
+        """The vertex the paper's grower adds next.
+
+        Candidate edges (member, neighbor) are taken in ascending
+        ``(weight, member, neighbor)`` order and the first whose
+        neighbor is adjacent to the whole clique wins.  Every member is
+        adjacent to every qualifying vertex, so the winner is the
+        minimum over members x qualifying vertices; distances are
+        computed only when two or more vertices qualify.
+        """
+        if len(qualifying) == 1 or paths is None:
+            return min(qualifying)
+
+        def path(vertex: int) -> Path:
+            found = path_cache.get(vertex)
+            if found is None:
+                found = path_cache[vertex] = paths(vertex)
+            return found
+
+        best = min(
+            (path_distance(path(member), path(neighbor)), member, neighbor)
+            for member in clique
+            for neighbor in qualifying
+        )
+        return best[2]
 
     def is_clique(self, vertices: Sequence[int]) -> bool:
         """Check pairwise adjacency (used by tests)."""

@@ -222,35 +222,24 @@ def tracing(path: Optional[str] = None) -> Iterator[Tracer]:
 def validate_events(events: List[Dict[str, object]]) -> None:
     """Raise ``ValueError`` unless ``events`` are schema-valid spans.
 
-    Checks the fields Perfetto requires ("X" events need name/ts/dur,
-    "i" events need name/ts) and that the recorded ``args.depth``
-    nesting is consistent: every span at depth ``d > 0`` lies strictly
-    inside some span at depth ``d - 1``.  Used by the test suite's
-    round-trip check and handy for ad-hoc trace debugging.
+    Accepts only the "X" complete events a :class:`Tracer` writes,
+    each with the fields Perfetto requires (name, ts, dur, pid, tid),
+    and checks that the recorded ``args.depth`` nesting is consistent:
+    every span at depth ``d > 0`` lies strictly inside some span at
+    depth ``d - 1``.  Used by the test suite's round-trip check and
+    handy for ad-hoc trace debugging.
     """
     spans = []
     for event in events:
         phase = event.get("ph")
-        if phase not in ("X", "i", "M"):
+        if phase != "X":
             raise ValueError("unknown event phase: %r" % (phase,))
-        if phase == "M":
-            # Metadata events (process_name tracks from the merged
-            # distributed timeline) carry no timestamps.
-            for field in ("name", "pid"):
-                if field not in event:
-                    raise ValueError(
-                        "metadata event missing %r: %r" % (field, event)
-                    )
-            continue
-        for field in ("name", "ts", "pid", "tid"):
+        for field in ("name", "ts", "dur", "pid", "tid"):
             if field not in event:
                 raise ValueError(
                     "event missing %r: %r" % (field, event)
                 )
-        if phase == "X":
-            if "dur" not in event:
-                raise ValueError("complete event missing dur: %r" % event)
-            spans.append(event)
+        spans.append(event)
     # Timestamps and durations are rounded to 3 decimals (nanosecond
     # resolution) independently, so a child's rounded end can poke at
     # most a few ns past its parent's rounded end; the containment

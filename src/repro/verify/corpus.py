@@ -27,8 +27,8 @@ API:
     where ``R`` is the reached set — the paper's motivating workload.
 
 New families register via :func:`register_family`; each generator maps a
-:class:`CorpusConfig` to exactly ``config.size`` payloads.  One more
-ships registered but outside :data:`DEFAULT_FAMILIES`, so the default
+:class:`CorpusConfig` to exactly ``config.size`` payloads.  Two more
+ship registered but outside :data:`DEFAULT_FAMILIES`, so the default
 corpus (and its pinned fingerprints) does not move:
 
 ``deep_chain``
@@ -36,6 +36,12 @@ corpus (and its pinned fingerprints) does not move:
     deeper than the default interpreter recursion limit — guards that
     every heuristic and oracle is limited by heap, not by recursion
     depth.
+``quick_suite``
+    The paper's own workload: the ``[f, c]`` calls that the §4 sweep
+    records from the quick suite's self-equivalence traversals
+    (:data:`repro.circuits.suite.QUICK_SUITE`, 245 calls), in recording
+    order.  It is an unseeded generator: ``--seed`` and ``--num-vars``
+    are ignored and ``--size`` takes the first calls.
 """
 
 from __future__ import annotations
@@ -307,6 +313,23 @@ def _gen_deep_chain(config: CorpusConfig) -> List[bytes]:
     return payloads
 
 
+def _gen_quick_suite(config: CorpusConfig) -> List[bytes]:
+    """The quick suite's recorded sweep calls, in recording order
+    (``config.seed`` and ``config.num_vars`` are ignored)."""
+    from repro.circuits.suite import QUICK_SUITE
+    from repro.experiments.calls import collect_suite_calls
+
+    payloads: List[bytes] = []
+    for record in collect_suite_calls(list(QUICK_SUITE)):
+        for call in record.calls:
+            if len(payloads) == config.size:
+                return payloads
+            payloads.append(
+                serialize_instance(record.manager, call.f, call.c)
+            )
+    return payloads
+
+
 FAMILIES: Dict[str, FamilyGenerator] = {
     "random_dnf": _gen_random_dnf,
     "random_dag": _gen_random_dag,
@@ -325,6 +348,7 @@ def register_family(
 
 
 register_family("deep_chain", _gen_deep_chain)
+register_family("quick_suite", _gen_quick_suite)
 
 
 def unregister_family(name: str) -> None:

@@ -14,6 +14,7 @@ from repro.core.matching_graph import (
 from repro.bdd.truthtable import bdd_from_leaves
 
 from tests.conftest import instance_strategy, build_instance
+from tests.core import textbook
 
 
 class TestPathDistance:
@@ -187,3 +188,58 @@ def test_random_clique_covers_valid(inst1, inst2, inst3):
     assert seen == [0, 1, 2]
     for clique in cliques:
         assert graph.is_clique(clique)
+
+
+@st.composite
+def _graph_and_paths(draw):
+    count = draw(st.integers(min_value=0, max_value=9))
+    length = draw(st.integers(min_value=0, max_value=5))
+    neighbors = [set() for _ in range(count)]
+    for j in range(count):
+        for k in range(j + 1, count):
+            if draw(st.booleans()):
+                neighbors[j].add(k)
+                neighbors[k].add(j)
+    paths = [
+        tuple(
+            draw(
+                st.lists(
+                    st.sampled_from((0, 1, PATH_FREE)),
+                    min_size=length,
+                    max_size=length,
+                )
+            )
+        )
+        for _ in range(count)
+    ]
+    return neighbors, paths
+
+
+@given(_graph_and_paths(), st.booleans(), st.booleans())
+@settings(max_examples=200)
+def test_grow_step_picks_what_the_full_sort_picks(
+    graph_and_paths, order_by_degree, weighted
+):
+    """Only qualifying vertices are weighed, and only when two or more
+    qualify, yet every clique grows as under the per-step full sort by
+    (weight, member, neighbor)."""
+    neighbors, paths = graph_and_paths
+    graph = UndirectedMatchingGraph(Manager(), [])
+    graph.functions = list(range(len(neighbors)))
+    graph.neighbors = neighbors
+    asked = []
+
+    def path_of(vertex):
+        asked.append(vertex)
+        return paths[vertex]
+
+    got = graph.clique_cover(
+        order_by_degree=order_by_degree,
+        paths=path_of if weighted else None,
+    )
+    want = textbook.clique_cover(
+        neighbors, order_by_degree, paths if weighted else None
+    )
+    assert got == want
+    # Each path is built at most once per cover.
+    assert len(asked) == len(set(asked))

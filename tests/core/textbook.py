@@ -1,4 +1,4 @@
-"""Textbook recursions: the reference the explicit-stack walks must match.
+"""Textbook forms: the reference the explicit-stack walks must match.
 
 ``repro.core`` runs Figure 2, the windowed sibling pass and the §3.3
 rebuild on explicit stacks.  The plain recursive forms below state the
@@ -7,13 +7,18 @@ restrict) write them.  They visit pairs in the same order, so on
 identically built managers both sides must return the *same refs*, not
 merely equivalent functions.  Being recursive, they are only for
 instances shallower than the interpreter recursion limit.
+
+``opt_lv`` is the per-boundary loop that the one-pass
+``repro.core.levels.opt_lv`` replaced: ``minimize_at_level`` at every
+boundary, top-down.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bdd.manager import Manager, ONE, ZERO, TERMINAL_LEVEL
 from repro.core.criteria import Criterion, try_match
-from repro.core.matching_graph import PATH_FREE
+from repro.core.levels import minimize_at_level
+from repro.core.matching_graph import PATH_FREE, path_distance
 
 Pair = Tuple[int, int]
 
@@ -215,3 +220,81 @@ def rebuild_with_replacements(
         return result
 
     return walk(f, c)
+
+
+def opt_lv(
+    manager: Manager,
+    f: int,
+    c: int,
+    criterion: Criterion = Criterion.TSM,
+    order_by_degree: bool = True,
+    use_distance_weights: bool = True,
+    batch_size: Optional[int] = None,
+) -> int:
+    """§3.3's opt_lv as stated: level matching at every boundary, top-down.
+
+    Each boundary gathers, matches and rebuilds the whole pair with
+    ``minimize_at_level``, the reference the one-pass ``opt_lv`` must
+    reproduce ref for ref.
+    """
+    if c == ZERO:
+        return ONE
+    support = manager.support_multi((f, c))
+    if not support:
+        return f
+    for boundary in range(1, max(support) + 2):
+        f, c = minimize_at_level(
+            manager,
+            f,
+            c,
+            boundary,
+            criterion=criterion,
+            batch_size=batch_size,
+            order_by_degree=order_by_degree,
+            use_distance_weights=use_distance_weights,
+        )
+    return f
+
+
+def clique_cover(
+    neighbors: List[set],
+    order_by_degree: bool = True,
+    paths: Optional[List[Tuple[int, ...]]] = None,
+) -> List[List[int]]:
+    """The paper's greedy clique cover with a full sort per grow step.
+
+    Every grow step lists the edges (member, uncovered neighbor), sorts
+    them by (distance weight, member, neighbor) and adds the first
+    neighbor adjacent to the whole clique.
+    """
+    count = len(neighbors)
+    order = list(range(count))
+    if order_by_degree:
+        order.sort(key=lambda v: (-len(neighbors[v]), v))
+    covered = [False] * count
+    cliques: List[List[int]] = []
+    for seed in order:
+        if covered[seed]:
+            continue
+        clique = [seed]
+        covered[seed] = True
+        while True:
+            edges = []
+            for member in clique:
+                for neighbor in neighbors[member]:
+                    if covered[neighbor]:
+                        continue
+                    weight = 0
+                    if paths is not None:
+                        weight = path_distance(paths[member], paths[neighbor])
+                    edges.append((weight, member, neighbor))
+            edges.sort()
+            for _, _, candidate in edges:
+                if set(clique) <= neighbors[candidate] | {candidate}:
+                    clique.append(candidate)
+                    covered[candidate] = True
+                    break
+            else:
+                break
+        cliques.append(clique)
+    return cliques

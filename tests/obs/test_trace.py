@@ -100,6 +100,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_events(bad)
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"name": "mark", "ph": "i", "ts": 1, "pid": 1, "tid": 1},
+            {"name": "process_name", "ph": "M", "pid": 1},
+        ],
+        ids=["instant", "metadata"],
+    )
+    def test_only_complete_events_are_accepted(self, event):
+        # A Tracer writes "X" events only; anything else is not ours.
+        with pytest.raises(ValueError, match="unknown event phase"):
+            validate_events([event])
+
 
 class TestCoreSpans:
     def test_minimization_emits_nested_spans(self, tmp_path):

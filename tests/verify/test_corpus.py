@@ -6,6 +6,7 @@ import pytest
 
 from repro.bdd.cover import is_def2_cover
 from repro.bdd.manager import ONE, ZERO
+from repro.bdd.wire import deserialize_instance, serialize_instance
 from repro.verify.corpus import (
     Corpus,
     DEEP_CHAIN_LEVELS,
@@ -125,3 +126,42 @@ class TestDeepChainFamily:
                 range(DEEP_CHAIN_LEVELS)
             )
 
+
+
+class TestQuickSuiteFamily:
+    def test_registered_but_not_default(self):
+        assert "quick_suite" in FAMILIES
+        assert "quick_suite" not in DEFAULT_FAMILIES
+
+    def test_unseeded_prefix_of_the_recorded_calls(self):
+        from repro.circuits.suite import QUICK_SUITE
+        from repro.experiments.calls import collect_suite_calls
+
+        def payloads(size, seed, num_vars):
+            corpus = Corpus(
+                families=("quick_suite",),
+                size=size,
+                num_vars=num_vars,
+                seed=seed,
+            )
+            return [instance.payload for instance in corpus.generate()]
+
+        six = payloads(6, seed=1, num_vars=3)
+        # --seed and --num-vars are ignored; --size takes a prefix.
+        assert payloads(6, seed=99, num_vars=8) == six
+        assert payloads(2, seed=1, num_vars=3) == six[:2]
+        records = collect_suite_calls(list(QUICK_SUITE))
+        first = records[0]
+        assert len(first.calls) >= 6
+        for payload, call in zip(six, first.calls):
+            manager, f, c = deserialize_instance(payload)
+            assert manager.size(f) == call.f_size
+            assert payload == serialize_instance(
+                first.manager, call.f, call.c
+            )
+
+    def test_the_whole_quick_suite_is_245_calls(self):
+        corpus = Corpus(families=("quick_suite",), size=245)
+        assert len(corpus.generate()) == 245
+        with pytest.raises(RuntimeError, match="produced 245 payloads"):
+            Corpus(families=("quick_suite",), size=246).generate()
