@@ -29,14 +29,16 @@ Seven measurements, written to ``BENCH_kernel.json`` next to this file:
     the collector must run strictly flatter.
 
 ``agree_replay``
-    The same capped sweep once more, with every osm/tsm match test and
-    Definition 2 cover check answered twice on the same operands: by
-    the shipped node-free ``Manager.agree`` and by the node-building
-    formula it replaced (``(f ⊕ g)·c`` built, then compared with ZERO).
-    Records the query counts, any verdict mismatch, and both step rates
-    (agree steps/s, formula ITE steps/s).  The formula runs second, so
-    its nodes and ITE-table entries are extra state the heuristics see
-    — covers are unaffected, counters are not.
+    The same capped sweep once more, with ``Manager.agree`` wrapped so
+    that every query reaches it twice on the same operands: match tests,
+    UMG edges, ``leq`` and Definition 2 cover checks are answered by the
+    shipped node-free walk and by the node-building formula it replaced
+    (``(f ⊕ g)·c·d`` built with ``ite``, then compared with ZERO).
+    Records, separately for three-operand queries (``d`` is ONE) and
+    four-operand ones, the query count, any verdict mismatch, the
+    agree steps and their rate; and the formula's ITE step rate.  The
+    formula runs second, so its nodes and ITE-table entries are extra
+    state the heuristics see — covers are unaffected, counters are not.
 
 ``opt_lv_depth``
     Seconds per level of ``opt_lv`` on ``deep_chain``-shaped instances
@@ -70,7 +72,8 @@ kernel falls below ``--min-ratio`` (default 0.9) of the recursive
 throughput, the deep chain fails, ``opt_lv``'s time per level is not
 flat in depth, gc stops flattening the sweep, the sanitizer slowdown
 reaches its bound, any replayed verdict of
-``agree`` differs from the formula's, the two relation builds differ
+``agree`` differs from the formula's, either agree kind replayed no
+query, the two relation builds differ
 in canonical wire bytes, the shipped build creates no fewer nodes than
 the fold, a self-equivalence verdict is wrong, or a quantification memo
 key is tracked by the collector (or none was memoized) — the
@@ -443,92 +446,84 @@ def measure_gc_sweep(max_iterations, benchmarks=None):
 # ----------------------------------------------------------------------
 # agree replay
 # ----------------------------------------------------------------------
-def _formula_osm(manager, f1, c1, f2, c2):
-    if manager.and_(c1, c2 ^ 1) != ZERO:
-        return False
-    return manager.and_(manager.xor(f1, f2), c1) == ZERO
-
-
-def _formula_tsm(manager, f1, c1, f2, c2):
-    disagreement = manager.and_(manager.xor(f1, f2), manager.and_(c1, c2))
-    return disagreement == ZERO
-
-
-def _formula_cover(manager, f, c, g):
-    return manager.and_(manager.xor(g, f), c) == ZERO
+#: Replay kinds: a query is three-operand when its second care ``d`` is
+#: ONE (``leq``, cover checks, osm tests), four-operand otherwise.
+AGREE_KINDS = ("three", "four")
 
 
 def measure_agree_replay(max_iterations, benchmarks=None):
-    """Answer the capped sweep's match tests and cover checks both ways.
+    """Answer every ``agree`` query of the capped sweep both ways.
 
-    Returns the record: per-kind query and mismatch counts, and the
-    agree and formula step rates over all replayed queries.
+    ``Manager.agree`` itself is wrapped for the sweep, so whatever path
+    reaches it is replayed: match tests, UMG edges, ``leq`` and cover
+    checks.  Returns the record: per kind, the query, mismatch and
+    step counts and the agree step rate; the formula's ITE step rate
+    over all queries.
     """
     from repro.circuits.suite import QUICK_SUITE
-    from repro.core import criteria, ispec
     from repro.experiments.calls import collect_suite_calls
     from repro.experiments.harness import run_heuristics
 
-    kinds = {
-        "osm": (criteria, "osm_matches", _formula_osm),
-        "tsm": (criteria, "tsm_matches", _formula_tsm),
-        "cover": (ispec, "is_def2_cover", _formula_cover),
+    shipped = Manager.agree
+    totals = {
+        kind: dict.fromkeys(("queries", "mismatches", "steps", "seconds"), 0)
+        for kind in AGREE_KINDS
     }
-    counts = {kind: {"queries": 0, "mismatches": 0} for kind in kinds}
-    totals = dict.fromkeys(
-        ("agree_seconds", "agree_steps", "formula_seconds", "formula_steps"),
-        0,
-    )
+    formula = dict.fromkeys(("steps", "seconds"), 0)
 
-    def replayed(kind, shipped, formula):
-        def both(manager, *args):
-            steps = manager.statistics()["agree_steps"]
-            started = time.perf_counter()
-            verdict = shipped(manager, *args)
-            totals["agree_seconds"] += time.perf_counter() - started
-            stats = manager.statistics()
-            totals["agree_steps"] += stats["agree_steps"] - steps
-            calls = stats["ite_calls"]
-            started = time.perf_counter()
-            reference = formula(manager, *args)
-            totals["formula_seconds"] += time.perf_counter() - started
-            totals["formula_steps"] += (
-                manager.statistics()["ite_calls"] - calls
-            )
-            counts[kind]["queries"] += 1
-            if verdict != reference:
-                counts[kind]["mismatches"] += 1
-            return verdict
+    def replayed(manager, f, g, c, d=ONE):
+        entry = totals["three" if d == ONE else "four"]
+        steps = manager.statistics()["agree_steps"]
+        started = time.perf_counter()
+        verdict = shipped(manager, f, g, c, d)
+        entry["seconds"] += time.perf_counter() - started
+        stats = manager.statistics()
+        entry["steps"] += stats["agree_steps"] - steps
+        calls = stats["ite_calls"]
+        started = time.perf_counter()
+        disagreement = manager.and_(manager.xor(f, g), manager.and_(c, d))
+        formula["seconds"] += time.perf_counter() - started
+        formula["steps"] += manager.statistics()["ite_calls"] - calls
+        entry["queries"] += 1
+        if verdict != (disagreement == ZERO):
+            entry["mismatches"] += 1
+        return verdict
 
-        return both
-
-    originals = {
-        kind: getattr(module, name)
-        for kind, (module, name, _) in kinds.items()
-    }
-    for kind, (module, name, formula) in kinds.items():
-        setattr(module, name, replayed(kind, originals[kind], formula))
+    Manager.agree = replayed
     try:
         records = collect_suite_calls(
             list(benchmarks or QUICK_SUITE), max_iterations=max_iterations
         )
         run_heuristics(records, compute_lower_bound=False)
     finally:
-        for kind, (module, name, _) in kinds.items():
-            setattr(module, name, originals[kind])
+        Manager.agree = shipped
+
+    def rate(steps, seconds):
+        return round(steps / max(seconds, 1e-9))
+
+    kinds = {
+        kind: {
+            "queries": entry["queries"],
+            "mismatches": entry["mismatches"],
+            "agree_steps": entry["steps"],
+            "agree_seconds": round(entry["seconds"], 3),
+            "agree_steps_per_sec": rate(entry["steps"], entry["seconds"]),
+        }
+        for kind, entry in totals.items()
+    }
+    steps = sum(entry["steps"] for entry in totals.values())
+    seconds = sum(entry["seconds"] for entry in totals.values())
     return {
-        "kinds": counts,
-        "mismatches": sum(entry["mismatches"] for entry in counts.values()),
-        "agree_steps": totals["agree_steps"],
-        "agree_steps_per_sec": round(
-            totals["agree_steps"] / max(totals["agree_seconds"], 1e-9)
+        "kinds": kinds,
+        "mismatches": sum(entry["mismatches"] for entry in kinds.values()),
+        "agree_steps": steps,
+        "agree_steps_per_sec": rate(steps, seconds),
+        "agree_seconds": round(seconds, 3),
+        "formula_ite_steps": formula["steps"],
+        "formula_ite_steps_per_sec": rate(
+            formula["steps"], formula["seconds"]
         ),
-        "agree_seconds": round(totals["agree_seconds"], 3),
-        "formula_ite_steps": totals["formula_steps"],
-        "formula_ite_steps_per_sec": round(
-            totals["formula_steps"] / max(totals["formula_seconds"], 1e-9)
-        ),
-        "formula_seconds": round(totals["formula_seconds"], 3),
+        "formula_seconds": round(formula["seconds"], 3),
     }
 
 
@@ -716,18 +711,21 @@ def main(argv=None) -> int:
 
     replay = measure_agree_replay(max_iterations, benchmarks)
     print(
-        "agree replay: %s queries, %d mismatches; agree %d steps in "
-        "%.3fs (%.0f steps/s), formula %d ITE steps in %.3fs "
-        "(%.0f steps/s)"
+        "agree replay: %s; formula %d ITE steps in %.3fs (%.0f steps/s)"
         % (
-            ", ".join(
-                "%d %s" % (entry["queries"], kind)
+            "; ".join(
+                "%s-operand %d queries, %d mismatches, %d steps in %.3fs "
+                "(%.0f steps/s)"
+                % (
+                    kind,
+                    entry["queries"],
+                    entry["mismatches"],
+                    entry["agree_steps"],
+                    entry["agree_seconds"],
+                    entry["agree_steps_per_sec"],
+                )
                 for kind, entry in replay["kinds"].items()
             ),
-            replay["mismatches"],
-            replay["agree_steps"],
-            replay["agree_seconds"],
-            replay["agree_steps_per_sec"],
             replay["formula_ite_steps"],
             replay["formula_seconds"],
             replay["formula_ite_steps_per_sec"],
@@ -843,6 +841,11 @@ def main(argv=None) -> int:
             "agree and the node-building formula disagree on %d of the "
             "replayed queries" % replay["mismatches"]
         )
+    for kind, entry in replay["kinds"].items():
+        if not entry["queries"]:
+            failed.append(
+                "the agree replay replayed no %s-operand query" % kind
+            )
     for name, entry in relation.items():
         if not entry["same_relation"]:
             failed.append(

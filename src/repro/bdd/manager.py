@@ -46,7 +46,9 @@ the nodes created since, the unique table's tail.
 
 Yes/no questions build nothing: :meth:`Manager.agree` and
 :meth:`Manager.leq` decide ``(f ⊕ g)·c·d = 0`` and ``f ≤ g`` by a
-node-free walk that stops at the first counterexample.
+node-free walk that stops at the first counterexample.  The root is
+decided by the terminal rules or the memo before any walk state
+exists, and a root with ``d = ONE`` walks three operands.
 """
 
 from __future__ import annotations
@@ -1018,7 +1020,8 @@ class Manager:
         """Containment test: ``f ≤ g`` (f implies g); builds no node.
 
         ``f ≤ g`` iff g agrees with ONE wherever f holds, so this is
-        ``agree(g, ONE, f)`` (CUDD's ``Cudd_bddLeq``).
+        ``agree(g, ONE, f)`` (CUDD's ``Cudd_bddLeq``), a three-operand
+        walk.
         """
         return self.agree(g, ONE, f)
 
@@ -1026,120 +1029,261 @@ class Manager:
         """Do ``f`` and ``g`` agree wherever ``c·d`` holds?
 
         Decides ``(f ⊕ g)·c·d = 0`` (CUDD's ``Cudd_EquivDC``, with a
-        second care operand) without creating a node: an explicit-stack
-        walk over the four cofactors that stops at the first care
-        minterm where f and g differ.  Each state it expands fires
+        second care operand) without creating a node: a depth-first
+        walk over the cofactors that stops at the first care minterm
+        where f and g differ.  Each state it expands fires
         :data:`EVENT_ITE` and counts in ``agree_steps``, so step
         budgets, deadlines and fault schedules see the work.
 
+        The root state is normalized and decided by the terminal rules
+        or the memo before any walk state exists; most calls end there.
+        A root whose care pair normalizes to ``d = ONE`` (every ``leq``
+        and Definition 2 cover check, and one-care calls in general)
+        keeps ``d = ONE`` in every state below it, so it takes a
+        three-operand walk that never reads ``d``.  Both walks expand
+        the same states in the same order, the then-state first.
+
         The memo is the named cache ``"agree"`` (flushed with every
-        other computed table); the ITE table is never read.  Entries are
-        written only once a walk finishes, so a hook that aborts it
-        leaves none behind.
+        other computed table), keyed by normalized ``(f, g, c, d)``
+        states that both walks share; the ITE table is never read.
+        Entries are written only once a walk finishes — every expanded
+        state on a clean agreement, the root alone on a disagreement —
+        so a hook that aborts a walk leaves none behind.
+        """
+        memo = self._op_caches.get("agree")
+        if memo is None:
+            memo = self.cache("agree")
+        if f == g or c == ZERO or d == ZERO:
+            return True
+        if d != ONE:
+            # Normalize the care pair: d is ONE unless both are proper
+            # and distinct, and then c > d.
+            if c == d:
+                d = ONE
+            elif c == (d ^ 1):
+                return True
+            elif c == ONE:
+                c, d = d, ONE
+            elif c < d:
+                c, d = d, c
+        if c == ONE:
+            # Every minterm is cared for, and f != g.
+            return False
+        # Normalize the pair: f < g with f regular (f ⊕ g = ¬f ⊕ ¬g).
+        if f > g:
+            f, g = g, f
+        if f & 1:
+            f ^= 1
+            g ^= 1
+        if f == ONE and (g == c or g == d):
+            # The disagreement is ¬g, outside the care set.
+            return True
+        if f == (g ^ 1) and d == ONE:
+            # They differ everywhere and c is not ZERO.
+            return False
+        root = (f, g, c, d)
+        known = memo.get(root)
+        if known is not None:
+            return known
+        if d == ONE:
+            return self._agree_walk3(memo, root)
+        return self._agree_walk4(memo, root)
+
+    def _agree_walk3(self, memo: dict, root: Tuple[int, int, int, int]) -> bool:
+        """:meth:`agree`'s walk from an unseen root with ``d = ONE``.
+
+        Every cofactor of ONE is ONE, so each state below keeps
+        ``d = ONE``: the care-pair rules cannot fire and ``d``'s level
+        and cofactors are never read.  States carry ``(f, g, c)`` and
+        are keyed ``(f, g, c, ONE)``, the four-operand walk's key.
         """
         level_list = self._level
         high_list = self._high
         low_list = self._low
-        memo = self.cache("agree")
         memo_get = memo.get
+        f, g, c, _ = key = root
         # States this walk expanded: all agree once it finishes clean.
         expanded: Set[Tuple[int, int, int, int]] = set()
-        stack = [(f, g, c, d)]
+        expand = expanded.add
+        # Pending else-states; the then-state continues in locals.
+        stack: List[Tuple[int, int, int]] = []
         push = stack.append
         pop = stack.pop
-        root = None
         steps = 0
         try:
-            while stack:
-                f, g, c, d = pop()
-                if f == g or c == ZERO or d == ZERO:
-                    continue
-                # Normalize the care pair: d is ONE unless both are
-                # proper and distinct, and then c > d.
-                if c == d:
-                    d = ONE
-                elif c == (d ^ 1):
-                    continue
-                elif c == ONE:
-                    c, d = d, ONE
-                elif c < d:
-                    c, d = d, c
-                if c == ONE:
-                    # Every minterm is cared for, and f != g.
-                    break
-                # Normalize the pair: f < g with f regular
-                # (f ⊕ g = ¬f ⊕ ¬g).
-                if f > g:
-                    f, g = g, f
-                if f & 1:
-                    f ^= 1
-                    g ^= 1
-                if f == ONE and (g == c or g == d):
-                    # The disagreement is ¬g, outside the care set.
-                    continue
-                if f == (g ^ 1) and d == ONE:
-                    # They differ everywhere and c is not ZERO.
-                    break
-                key = (f, g, c, d)
-                if key in expanded:
-                    continue
-                known = memo_get(key)
-                if known is not None:
-                    if known:
-                        continue
-                    break
+            while True:
+                # Expand (f, g, c): normalized, unseen, not memoized.
                 steps += 1
                 hook = self._step_hook
                 if hook is not None:
                     hook(EVENT_ITE)
-                expanded.add(key)
-                if root is None:
-                    root = key
+                expand(key)
                 f_index = f >> 1
                 g_index = g >> 1
                 c_index = c >> 1
-                d_index = d >> 1
-                top = level_list[f_index]
-                level = level_list[g_index]
-                if level < top:
-                    top = level
-                level = level_list[c_index]
-                if level < top:
-                    top = level
-                level = level_list[d_index]
-                if level < top:
-                    top = level
-                if level_list[f_index] == top:
+                f_level = level_list[f_index]
+                g_level = level_list[g_index]
+                c_level = level_list[c_index]
+                top = f_level
+                if g_level < top:
+                    top = g_level
+                if c_level < top:
+                    top = c_level
+                if f_level == top:
                     f_then = high_list[f_index]
                     f_else = low_list[f_index]
                 else:
                     f_then = f_else = f
-                if level_list[g_index] == top:
+                if g_level == top:
                     complement = g & 1
                     g_then = high_list[g_index] ^ complement
                     g_else = low_list[g_index] ^ complement
                 else:
                     g_then = g_else = g
-                if level_list[c_index] == top:
+                if c_level == top:
                     complement = c & 1
                     c_then = high_list[c_index] ^ complement
                     c_else = low_list[c_index] ^ complement
                 else:
                     c_then = c_else = c
-                if level_list[d_index] == top:
+                push((f_else, g_else, c_else))
+                f = f_then
+                g = g_then
+                c = c_then
+                # Decide states until one needs expanding.
+                while True:
+                    if f != g and c != ZERO:
+                        if f > g:
+                            f, g = g, f
+                        if f & 1:
+                            f ^= 1
+                            g ^= 1
+                        # f == ONE and g == c: the disagreement is ¬c.
+                        if f != ONE or g != c:
+                            if c == ONE or f == (g ^ 1):
+                                # Every minterm is cared for, or f and
+                                # g differ everywhere.
+                                memo[root] = False
+                                return False
+                            key = (f, g, c, ONE)
+                            if key not in expanded:
+                                known = memo_get(key)
+                                if known is None:
+                                    break
+                                if not known:
+                                    memo[root] = False
+                                    return False
+                    if not stack:
+                        memo.update(dict.fromkeys(expanded, True))
+                        return True
+                    f, g, c = pop()
+        finally:
+            self._agree_steps += steps
+
+    def _agree_walk4(self, memo: dict, root: Tuple[int, int, int, int]) -> bool:
+        """:meth:`agree`'s walk from an unseen root with two proper cares.
+
+        A state whose care pair normalizes to ``d = ONE`` stays in this
+        walk; its key is the one the three-operand walk uses.
+        """
+        level_list = self._level
+        high_list = self._high
+        low_list = self._low
+        memo_get = memo.get
+        f, g, c, d = key = root
+        # States this walk expanded: all agree once it finishes clean.
+        expanded: Set[Tuple[int, int, int, int]] = set()
+        expand = expanded.add
+        # Pending else-states; the then-state continues in locals.
+        stack: List[Tuple[int, int, int, int]] = []
+        push = stack.append
+        pop = stack.pop
+        steps = 0
+        try:
+            while True:
+                # Expand (f, g, c, d): normalized, unseen, not memoized.
+                steps += 1
+                hook = self._step_hook
+                if hook is not None:
+                    hook(EVENT_ITE)
+                expand(key)
+                f_index = f >> 1
+                g_index = g >> 1
+                c_index = c >> 1
+                d_index = d >> 1
+                f_level = level_list[f_index]
+                g_level = level_list[g_index]
+                c_level = level_list[c_index]
+                d_level = level_list[d_index]
+                top = f_level
+                if g_level < top:
+                    top = g_level
+                if c_level < top:
+                    top = c_level
+                if d_level < top:
+                    top = d_level
+                if f_level == top:
+                    f_then = high_list[f_index]
+                    f_else = low_list[f_index]
+                else:
+                    f_then = f_else = f
+                if g_level == top:
+                    complement = g & 1
+                    g_then = high_list[g_index] ^ complement
+                    g_else = low_list[g_index] ^ complement
+                else:
+                    g_then = g_else = g
+                if c_level == top:
+                    complement = c & 1
+                    c_then = high_list[c_index] ^ complement
+                    c_else = low_list[c_index] ^ complement
+                else:
+                    c_then = c_else = c
+                if d_level == top:
                     complement = d & 1
                     d_then = high_list[d_index] ^ complement
                     d_else = low_list[d_index] ^ complement
                 else:
                     d_then = d_else = d
                 push((f_else, g_else, c_else, d_else))
-                push((f_then, g_then, c_then, d_then))
-            else:
-                memo.update(dict.fromkeys(expanded, True))
-                return True
-            if root is not None:
-                memo[root] = False
-            return False
+                f = f_then
+                g = g_then
+                c = c_then
+                d = d_then
+                # Decide states until one needs expanding.
+                while True:
+                    if not (
+                        f == g or c == ZERO or d == ZERO or c == (d ^ 1)
+                    ):
+                        if c == d:
+                            d = ONE
+                        elif c == ONE:
+                            c, d = d, ONE
+                        elif c < d:
+                            c, d = d, c
+                        if f > g:
+                            f, g = g, f
+                        if f & 1:
+                            f ^= 1
+                            g ^= 1
+                        if f != ONE or (g != c and g != d):
+                            if c == ONE or (f == (g ^ 1) and d == ONE):
+                                # Every minterm is cared for, or f and
+                                # g differ everywhere.
+                                memo[root] = False
+                                return False
+                            key = (f, g, c, d)
+                            if key not in expanded:
+                                known = memo_get(key)
+                                if known is None:
+                                    break
+                                if not known:
+                                    memo[root] = False
+                                    return False
+                    if not stack:
+                        memo.update(dict.fromkeys(expanded, True))
+                        return True
+                    f, g, c, d = pop()
         finally:
             self._agree_steps += steps
 

@@ -77,12 +77,16 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--step-budget",
         type=int,
-        help="max ITE recursion steps per heuristic call",
+        help="max steps per heuristic call: ITE recursion steps plus "
+        "the states node-free agree/leq walks expand (match tests)",
     )
     parser.add_argument(
         "--deadline",
         type=float,
-        help="wall-clock seconds allowed per heuristic call",
+        help="wall-clock seconds allowed per heuristic call; in-process "
+        "it is polled every 64th node or ITE step, so work that fires "
+        "neither (the schedule's level gathers) runs on past it; "
+        "pooled and isolated cells also arm a SIGALRM timer",
     )
 
 

@@ -134,11 +134,13 @@ class UndirectedMatchingGraph:
         self.functions = list(functions)
         count = len(self.functions)
         self.neighbors: List[Set[int]] = [set() for _ in range(count)]
+        # An edge is tsm_matches, the one agree call.
+        agree = manager.agree
         for j in range(count):
             f_j, c_j = self.functions[j]
             for k in range(j + 1, count):
                 f_k, c_k = self.functions[k]
-                if matches(Criterion.TSM, manager, f_j, c_j, f_k, c_k):
+                if agree(f_j, f_k, c_j, c_k):
                     self.neighbors[j].add(k)
                     self.neighbors[k].add(j)
 

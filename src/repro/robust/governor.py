@@ -57,7 +57,12 @@ class Budget:
     the states :meth:`~repro.bdd.manager.Manager.agree` expands (so
     node-free match tests and cover checks are budgeted too).
     ``deadline`` is wall-clock seconds from governor start (or the last
-    counter reset).
+    counter reset).  It is polled, not timed: the governor reads the
+    clock on every ``DEADLINE_CHECK_INTERVAL``-th node or ITE event, so
+    work that fires neither cannot be stopped — ``gather_at_level``,
+    which the schedule's level steps run once per boundary, is such
+    work.  Pooled cells bound their wall clock with a ``SIGALRM`` timer
+    instead (:class:`repro.serve.pool._CellAlarm`).
     """
 
     max_nodes: Optional[int] = None

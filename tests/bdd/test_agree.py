@@ -3,7 +3,10 @@
 ``Manager.agree(f, g, c, d)`` decides ``(f ⊕ g)·c·d = 0`` and
 ``Manager.leq(f, g)`` decides ``f ≤ g`` without creating a node.  The
 formulas they replaced build the disagreement as a BDD and compare it
-with ZERO; they stay here as the reference.
+with ZERO; they stay here as the reference for verdicts.  The walk as
+it first shipped, ``tests.core.textbook.AgreeWalk``, is the reference
+for the work: the states expanded, their order, the events fired and
+the memo written.
 """
 
 import random
@@ -14,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.errors import StepBudgetExceeded
 from repro.bdd.manager import EVENT_ITE, Manager, ONE, ZERO
 from repro.bdd.truthtable import bdd_from_leaves
+
+from tests.core.textbook import AgreeWalk
 
 NUM_VARS = 4
 
@@ -236,3 +241,146 @@ class TestWalk:
         assert manager.agree(f, g, care)
         assert not manager.agree(f, bad, care)
         assert manager.faults_fired > 0
+
+
+#: Variables of the reference differential: deep enough for walks of
+#: tens of states that meet the memo and repeat states.
+WALK_VARS = 5
+
+WALK_TABLE = st.lists(
+    st.booleans(), min_size=1 << WALK_VARS, max_size=1 << WALK_VARS
+)
+
+#: How a query calls the kernel.
+KINDS = ("agree3", "agree4", "leq")
+
+
+@st.composite
+def query_sequences(draw):
+    """A pool of tables and a sequence of queries over it.
+
+    A query is four operand specs (see :func:`quadruples`), a tie, the
+    kind of call and the step at which an aborting hook raises.
+    """
+    pool = draw(st.lists(WALK_TABLE, min_size=1, max_size=4))
+    # Two derived functions share structure with the pool.
+    choices = len(pool) + 2
+    operand = st.tuples(
+        st.one_of(
+            st.sampled_from(["one", "zero"]), st.integers(0, choices - 1)
+        ),
+        st.integers(0, 1),
+    )
+    query = st.tuples(
+        st.lists(operand, min_size=4, max_size=4),
+        st.sampled_from(TIES),
+        st.sampled_from(KINDS),
+        st.integers(1, 24),
+    )
+    return pool, draw(st.lists(query, min_size=1, max_size=16))
+
+
+def _walk_manager(pool):
+    manager = Manager()
+    manager.ensure_vars(WALK_VARS)
+    refs = [bdd_from_leaves(manager, table) for table in pool]
+    refs.append(manager.and_(refs[0], refs[-1]))
+    refs.append(manager.xor(refs[0], refs[-1] ^ 1))
+    return manager, refs
+
+
+def _query(manager, refs, specs, tie, kind):
+    f, g, c, d = (
+        ONE if which == "one"
+        else ZERO if which == "zero"
+        else refs[which] ^ complement
+        for which, complement in specs
+    )
+    if tie == "f_is_not_g":
+        g = f ^ 1
+    elif tie == "f_is_g":
+        g = f
+    elif tie == "c_is_not_d":
+        d = c ^ 1
+    elif tie == "c_is_d":
+        d = c
+    elif tie == "d_is_one":
+        d = ONE
+    elif tie == "g_is_c":
+        g = c
+    if kind == "leq":
+        return manager.leq(f, c)
+    if kind == "agree3":
+        return manager.agree(f, g, c)
+    return manager.agree(f, g, c, d)
+
+
+class TestAgainstTheReferenceWalk:
+    """After every query both walks have done the same work."""
+
+    @pytest.mark.parametrize("aborting", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=query_sequences())
+    def test_same_states_events_and_memo(self, aborting, drawn):
+        pool, queries = drawn
+        shipped, shipped_refs = _walk_manager(pool)
+        reference, reference_refs = _walk_manager(pool)
+        walk = AgreeWalk(reference)
+        reference.agree = walk
+        for specs, tie, kind, abort_at in queries:
+            outcomes = []
+            for manager, refs in (
+                (shipped, shipped_refs),
+                (reference, reference_refs),
+            ):
+                events = []
+
+                def hook(event, events=events):
+                    events.append(event)
+                    if aborting and len(events) == abort_at:
+                        raise StepBudgetExceeded("planted abort")
+
+                previous = manager.install_step_hook(hook)
+                try:
+                    verdict = _query(manager, refs, specs, tie, kind)
+                except StepBudgetExceeded:
+                    verdict = "aborted"
+                finally:
+                    manager.install_step_hook(previous)
+                outcomes.append(
+                    (verdict, events, dict(manager.cache("agree")))
+                )
+            assert outcomes[0] == outcomes[1]
+            assert shipped.statistics()["agree_steps"] == walk.steps
+        assert reference.statistics()["agree_steps"] == 0
+
+
+class TestOnRecordedCalls:
+    def test_paper_heuristics_expand_the_reference_states(self):
+        """Every paper heuristic's ``agree_steps`` on s386's calls is
+        the reference walk's count, with caches flushed per call."""
+        from repro.core.registry import HEURISTICS, PAPER_HEURISTICS
+        from repro.experiments.calls import collect_benchmark_calls
+
+        def steps_per_heuristic(install):
+            record = collect_benchmark_calls("s386")
+            manager = record.manager
+            walk = AgreeWalk(manager)
+            if install:
+                manager.agree = walk
+            counts = {}
+            for name in PAPER_HEURISTICS:
+                before = manager.statistics()["agree_steps"] + walk.steps
+                for call in record.calls:
+                    manager.clear_caches()
+                    HEURISTICS[name](manager, call.f, call.c)
+                counts[name] = (
+                    manager.statistics()["agree_steps"] + walk.steps - before
+                )
+            return counts
+
+        shipped = steps_per_heuristic(install=False)
+        assert shipped == steps_per_heuristic(install=True)
+        assert shipped["opt_lv"] > 0
+        assert shipped["osm_bt"] > 0
+        assert shipped["tsm_td"] > 0

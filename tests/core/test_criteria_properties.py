@@ -190,6 +190,62 @@ def test_try_match_result_valid(instances):
             assert common.i_covers(ISpec(manager, f2 ^ 1, c2))
 
 
+def _try_match_by_definition(
+    criterion, manager, f1, c1, f2, c2, complemented=False
+):
+    """``try_match`` spelled as Definition 5's predicate plus the
+    i-cover, forward and then (for osdm and osm) backward."""
+    g2 = f2 ^ 1 if complemented else f2
+    if matches(criterion, manager, f1, c1, g2, c2):
+        return i_cover_of_match(criterion, manager, f1, c1, g2, c2)
+    if criterion is not Criterion.TSM and matches(
+        criterion, manager, g2, c2, f1, c1
+    ):
+        return f1, c1
+    return None
+
+
+@given(
+    pair_of_instances,
+    st.sampled_from(["free", "same_f", "same_c", "zero_c1", "zero_c2"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_try_match_is_matches_plus_i_cover(instances, tie):
+    """try_match calls agree directly; it must return what matches and
+    i_cover_of_match return, after the same agree walks on the same
+    operands in the same order (same steps, same memo)."""
+    direct, by_definition = Manager(), Manager()
+    for criterion in Criterion:
+        for complemented in (False, True):
+            outcomes = []
+            for manager, match in (
+                (direct, try_match),
+                (by_definition, _try_match_by_definition),
+            ):
+                f1, c1 = build_instance(manager, *instances[0])
+                f2, c2 = build_instance(manager, *instances[1])
+                if tie == "same_f":
+                    f2 = f1
+                elif tie == "same_c":
+                    c2 = c1
+                elif tie == "zero_c1":
+                    c1 = ZERO
+                elif tie == "zero_c2":
+                    c2 = ZERO
+                found = match(
+                    criterion, manager, f1, c1, f2, c2,
+                    complemented=complemented,
+                )
+                outcomes.append(
+                    (
+                        found,
+                        manager.statistics()["agree_steps"],
+                        dict(manager.cache("agree")),
+                    )
+                )
+            assert outcomes[0] == outcomes[1]
+
+
 def test_osdm_tsm_produced_forms():
     """The literal i-cover forms from Section 3.1.1."""
     manager = Manager(["a", "b"])

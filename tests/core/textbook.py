@@ -11,11 +11,17 @@ instances shallower than the interpreter recursion limit.
 ``opt_lv`` is the per-boundary loop that the one-pass
 ``repro.core.levels.opt_lv`` replaced: ``minimize_at_level`` at every
 boundary, top-down.
+
+``AgreeWalk`` is ``Manager.agree``'s walk as it first shipped: one loop
+that pops every state, root included, and pushes both cofactor states.
+It expands the states the shipped kernel expands, in the same order,
+fires the same events and writes the same memo, and counts the states
+itself.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.bdd.manager import Manager, ONE, ZERO, TERMINAL_LEVEL
+from repro.bdd.manager import EVENT_ITE, Manager, ONE, ZERO, TERMINAL_LEVEL
 from repro.core.criteria import Criterion, try_match
 from repro.core.levels import minimize_at_level
 from repro.core.matching_graph import PATH_FREE, path_distance
@@ -298,3 +304,74 @@ def clique_cover(
                 break
         cliques.append(clique)
     return cliques
+
+
+class AgreeWalk:
+    """The reference ``agree``: call it as ``manager.agree`` is called.
+
+    Assigning an instance to ``manager.agree`` installs it for that
+    manager, ``leq`` included.  ``steps`` counts the states it has
+    expanded, an aborted walk's too.
+    """
+
+    def __init__(self, manager: Manager):
+        self.manager = manager
+        self.steps = 0
+
+    def __call__(self, f: int, g: int, c: int, d: int = ONE) -> bool:
+        manager = self.manager
+        memo = manager.cache("agree")
+        expanded: Set[Tuple[int, int, int, int]] = set()
+        stack = [(f, g, c, d)]
+        root = None
+        while stack:
+            f, g, c, d = stack.pop()
+            if f == g or c == ZERO or d == ZERO:
+                continue
+            # The care pair: d is ONE unless both are proper and
+            # distinct, and then c > d.
+            if c == d:
+                d = ONE
+            elif c == (d ^ 1):
+                continue
+            elif c == ONE:
+                c, d = d, ONE
+            elif c < d:
+                c, d = d, c
+            if c == ONE:
+                break
+            # The pair: f < g with f regular.
+            if f > g:
+                f, g = g, f
+            if f & 1:
+                f ^= 1
+                g ^= 1
+            if f == ONE and (g == c or g == d):
+                continue
+            if f == (g ^ 1) and d == ONE:
+                break
+            key = (f, g, c, d)
+            if key in expanded:
+                continue
+            known = memo.get(key)
+            if known is not None:
+                if known:
+                    continue
+                break
+            self.steps += 1
+            hook = manager.step_hook
+            if hook is not None:
+                hook(EVENT_ITE)
+            expanded.add(key)
+            if root is None:
+                root = key
+            top = min(manager.level(ref) for ref in key)
+            cofactors = [manager.branches(ref, top) for ref in key]
+            stack.append(tuple(branch[1] for branch in cofactors))
+            stack.append(tuple(branch[0] for branch in cofactors))
+        else:
+            memo.update(dict.fromkeys(expanded, True))
+            return True
+        if root is not None:
+            memo[root] = False
+        return False
