@@ -190,6 +190,30 @@ def test_random_clique_covers_valid(inst1, inst2, inst3):
         assert graph.is_clique(clique)
 
 
+@given(st.lists(instance_strategy(4), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_umg_edges_are_tsm_matches(instances):
+    """The UMG calls ``agree`` inline; its edges must be tsm_matches,
+    tested pair by pair in the same order (same steps, same memo)."""
+    inline, by_definition = Manager(), Manager()
+    functions = [build_instance(inline, *inst) for inst in instances]
+    graph = UndirectedMatchingGraph(inline, functions)
+    defined = [build_instance(by_definition, *inst) for inst in instances]
+    expected = [set() for _ in defined]
+    for j, (f_j, c_j) in enumerate(defined):
+        for k in range(j + 1, len(defined)):
+            f_k, c_k = defined[k]
+            if tsm_matches(by_definition, f_j, c_j, f_k, c_k):
+                expected[j].add(k)
+                expected[k].add(j)
+    assert graph.neighbors == expected
+    assert (
+        inline.statistics()["agree_steps"]
+        == by_definition.statistics()["agree_steps"]
+    )
+    assert dict(inline.cache("agree")) == dict(by_definition.cache("agree"))
+
+
 @st.composite
 def _graph_and_paths(draw):
     count = draw(st.integers(min_value=0, max_value=9))
