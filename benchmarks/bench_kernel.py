@@ -7,12 +7,15 @@ Seven measurements, written to ``BENCH_kernel.json`` next to this file:
     workload, for the shipped iterative kernel and for
     ``RecursiveKernelManager`` — a benchmark-local subclass carrying
     the old recursive ``ite`` (with the same counters), kept here as
-    the reference the iterative kernel must not regress against.
+    the reference the iterative kernel must not regress against.  The
+    two kernels alternate round by round, and ``ratio`` is the median
+    of the per-round ratios.
 
 ``sanitizer_overhead``
     The same throughput workload on ``SanitizedManager`` — the
     ``REPRO_SANITIZE=1`` tag-and-check wrapper — against the plain
-    kernel.  ``--quick`` gates the slowdown below
+    kernel, interleaved the same way; ``slowdown`` is the median
+    per-round plain/sanitized ratio.  ``--quick`` gates it below
     ``--max-sanitizer-overhead`` (default 2.0x).
 
 ``deep_chain``
@@ -209,38 +212,38 @@ def _random_instances(manager_cls, num_vars, count, seed=7):
     return manager, pairs
 
 
-def measure_ite_throughput(manager_cls, num_vars, rounds):
-    """Median cache-cold ITE steps/second over ``rounds`` passes."""
-    manager, pairs = _random_instances(manager_cls, num_vars, count=6)
-    rates = []
-    for _ in range(rounds):
-        manager.clear_caches()
-        steps_before = manager.statistics()["ite_calls"]
-        started = time.perf_counter()
-        for f, g in pairs:
-            manager.ite(f, g, f ^ 1)
-            manager.xor(f, g)
-        elapsed = time.perf_counter() - started
-        steps = manager.statistics()["ite_calls"] - steps_before
-        rates.append(steps / elapsed)
-    return _median(rates)
+def _ite_round(manager, pairs):
+    """Cache-cold ITE steps/second of one pass over ``pairs``."""
+    manager.clear_caches()
+    steps_before = manager.statistics()["ite_calls"]
+    started = time.perf_counter()
+    for f, g in pairs:
+        manager.ite(f, g, f ^ 1)
+        manager.xor(f, g)
+    elapsed = time.perf_counter() - started
+    steps = manager.statistics()["ite_calls"] - steps_before
+    return steps / elapsed
 
 
-def measure_sanitizer_overhead(num_vars, rounds):
-    """Plain vs ``SanitizedManager`` ite throughput (tag-and-check cost).
+def measure_ite_pair(first_cls, second_cls, num_vars, rounds):
+    """ITE throughput of two manager classes, interleaved round by round.
 
-    Returns ``(plain_rate, sanitized_rate, slowdown)`` where slowdown is
-    plain/sanitized — the factor every kernel call pays for the
-    ``REPRO_SANITIZE=1`` provenance checks.  The off-path cost (sanitizer
-    *not* installed) is not measured here because the plain ``Manager``
-    code path is byte-identical either way; only ``gc(compact=True)``
-    gained a single integer increment.
+    Each round times one pass of the same workload on each class, and
+    the class that goes first alternates, so host drift and load spikes
+    hit both sides of a round alike.  Returns ``(first_rate,
+    second_rate, ratio)``: each side's median steps/second and the
+    median of the per-round ratios first/second.
     """
-    from repro.analysis.sanitize import SanitizedManager
-
-    plain = measure_ite_throughput(Manager, num_vars, rounds)
-    sanitized = measure_ite_throughput(SanitizedManager, num_vars, rounds)
-    return plain, sanitized, plain / sanitized
+    sides = [
+        _random_instances(manager_cls, num_vars, count=6)
+        for manager_cls in (first_cls, second_cls)
+    ]
+    rates = ([], [])
+    for round_index in range(rounds):
+        for side in (0, 1) if round_index % 2 == 0 else (1, 0):
+            rates[side].append(_ite_round(*sides[side]))
+    ratios = [first / second for first, second in zip(*rates)]
+    return _median(rates[0]), _median(rates[1]), _median(ratios)
 
 
 # ----------------------------------------------------------------------
@@ -646,20 +649,21 @@ def main(argv=None) -> int:
     max_iterations = 2
     benchmarks = ["s344", "tlc"] if args.quick else None
 
-    # Interleave the two kernels round-robin at the workload level so
-    # load spikes hit both sides.
-    iterative = measure_ite_throughput(Manager, num_vars, rounds)
-    recursive = measure_ite_throughput(
-        RecursiveKernelManager, num_vars, rounds
+    iterative, recursive, ratio = measure_ite_pair(
+        Manager, RecursiveKernelManager, num_vars, rounds
     )
-    ratio = iterative / recursive
     print(
         "ite throughput: iterative %.0f steps/s, recursive %.0f steps/s "
         "(ratio %.2fx)" % (iterative, recursive, ratio)
     )
 
-    plain_rate, sanitized_rate, slowdown = measure_sanitizer_overhead(
-        num_vars, rounds
+    # The slowdown every kernel call pays for the REPRO_SANITIZE=1
+    # provenance checks.  The off-path cost (sanitizer not installed) is
+    # not measured: the plain Manager code path is the same either way.
+    from repro.analysis.sanitize import SanitizedManager
+
+    plain_rate, sanitized_rate, slowdown = measure_ite_pair(
+        Manager, SanitizedManager, num_vars, rounds
     )
     print(
         "sanitizer overhead: plain %.0f steps/s, sanitized %.0f steps/s "

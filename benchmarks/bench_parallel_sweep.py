@@ -15,6 +15,15 @@ transport, child-side verification), so the speedup honestly reports
 what ``repro-bdd experiments --parallel N`` buys, not an idealized
 bound.
 
+The script exits 1 unless both passes do the same counted work: every
+cell measured on both sides must have the same cover size and the same
+``agree_steps``.  Both paths run a cell through
+``repro.robust.guard.run_cell``, which counts the heuristic call alone,
+so a pooled cell whose statistics also took in the cover check's walk
+fails here.  ``ite_calls`` and ``nodes_created`` are not compared: they
+depend on node numbering and table contents, which differ between the
+serial manager and a warm worker's.
+
 ``--min-speedup`` gates the speedup, but only when the machine can
 physically parallelize: a pool of N workers plus the reaping
 parent needs more than N CPUs to beat serial, so on smaller boxes the
@@ -70,6 +79,7 @@ def _check_agreement(serial_results, pooled_results, heuristics):
             "pooled_results.total_calls"
         )
     agreeing = 0
+    counted_apart = []
     for left, right in zip(serial_results.results, pooled_results.results):
         for name in heuristics:
             if None in (left.sizes[name], right.sizes[name]):
@@ -79,6 +89,23 @@ def _check_agreement(serial_results, pooled_results, heuristics):
                     "pooled sweep diverged on %s/%s" % (left.benchmark, name)
                 )
             agreeing += 1
+            # Both sides count the heuristic call alone, so its agree
+            # walks match.  ite_calls and nodes_created depend on node
+            # numbering and table contents, so they are not compared.
+            serial_steps = left.stats[name]["agree_steps"]
+            pooled_steps = right.stats[name]["agree_steps"]
+            if serial_steps != pooled_steps:
+                counted_apart.append(
+                    "%s call %d/%s: serial %d, pooled %d"
+                    % (left.benchmark, left.iteration, name,
+                       serial_steps, pooled_steps)
+                )
+    if counted_apart:
+        raise SystemExit(
+            "pooled sweep counted different agree_steps on %d of %d "
+            "cells measured on both sides (first: %s)"
+            % (len(counted_apart), agreeing, counted_apart[0])
+        )
     return agreeing
 
 

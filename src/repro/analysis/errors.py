@@ -102,3 +102,9 @@ class DeadlineExceeded(BudgetExceeded):
 #: records them per cell, the §3.4 schedule returns its last safe
 #: intermediate, and the guard falls back to the identity cover.
 RECOVERABLE_ERRORS = (BudgetExceeded, ContractError, InvariantError)
+
+#: Failure classes for retries and breakers: a budget trip is transient
+#: (a bigger budget might succeed); a broken invariant or contract, a
+#: non-cover included, is deterministic (retrying cannot help).
+TRANSIENT = "transient"
+DETERMINISTIC = "deterministic"

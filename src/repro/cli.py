@@ -470,11 +470,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     setup_operations = manager.operations
     manager.clear_caches()
     manager.armed = True
-    guarded = guard(
-        HEURISTICS[args.heuristic],
-        name=args.heuristic,
-        flush_before_verify=True,
-    )
+    guarded = guard(HEURISTICS[args.heuristic], name=args.heuristic)
     cover = guarded(manager, f, c)
     manager.armed = False
     manager.clear_caches()

@@ -12,25 +12,28 @@ for A/B comparisons; see ``benchmarks/bench_kernel.py``).  Every flush
 of a record passes the same root tuple, so after its first one the
 collector skips the mark and reclaims just the nodes created since.
 
-Robustness: each heuristic measurement is isolated.  A budget trip or
-contract violation on one cell records ``sizes[name] = None`` with the
-reason in ``failures[name]`` and the sweep moves on — one pathological
-instance never loses a run.  With a ``checkpoint``, every completed
-:class:`CallResult` is journalled to JSONL the moment it is measured,
-and ``resume=True`` skips the calls already on disk (see
-:mod:`repro.robust.checkpoint`).
+Each cell runs through :func:`repro.robust.guard.run_cell`, as in a
+pool worker for ``parallel=N``, so a cell's ``runtimes`` (Table 3's
+runtime column) and ``stats`` are the heuristic's own on both paths:
+the flush, the cover check and a worker's decode, collection and
+encode are not in them.
+
+Robustness: each heuristic measurement is isolated.  A budget trip,
+contract violation or non-cover on one cell records ``sizes[name] =
+None`` with the reason in ``failures[name]`` and the sweep moves on —
+one pathological instance never loses a run.  With a ``checkpoint``,
+every completed :class:`CallResult` is journalled to JSONL the moment
+it is measured, and ``resume=True`` skips the calls already on disk
+(see :mod:`repro.robust.checkpoint`).
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.errors import RECOVERABLE_ERRORS
 from repro.bdd.manager import Manager
-from repro.core.ispec import ISpec
 from repro.core.lower_bound import cube_lower_bound
 from repro.core.registry import HEURISTICS, PAPER_HEURISTICS
 from repro.experiments.buckets import Bucket, bucket_of
@@ -39,7 +42,7 @@ from repro.experiments.calls import (
     MinimizationCall,
     collect_suite_calls,
 )
-from repro.obs.metrics import diff_statistics
+from repro.robust.guard import run_cell
 
 
 @dataclass
@@ -63,10 +66,11 @@ class CallResult:
     failures: Dict[str, str] = field(default_factory=dict)
     #: Per-heuristic ``Manager.statistics()`` deltas for this cell —
     #: recorded for failed cells too, so a journal explains *why* a
-    #: cell fell back (e.g. ite_calls hit the budget).  Serial sweeps
-    #: record the delta across the measured call; pooled sweeps record
-    #: the worker's per-cell delta against its warm manager's
-    #: cell-start snapshot (killed/crashed cells ship none).
+    #: cell fell back (e.g. ite_calls hit the budget).  Serial and
+    #: pooled sweeps both record :func:`repro.robust.guard.run_cell`'s
+    #: delta across the governed heuristic call alone, so the cover
+    #: check's ``agree`` steps and the collections around the cell are
+    #: not in it (killed/crashed pooled cells ship none).
     stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
@@ -114,51 +118,30 @@ def _measure_call(
     call: MinimizationCall,
     heuristics: Sequence[str],
     budget,
-    verify_covers: bool,
     compute_lower_bound: bool,
     cube_limit: int,
     gc_roots,
 ) -> CallResult:
     """Measure one recorded call across all heuristics, isolated."""
-    from repro.robust.governor import governed
-    from repro.robust.guard import describe_error
-
     sizes: Dict[str, Optional[int]] = {}
     runtimes: Dict[str, float] = {}
     failures: Dict[str, str] = {}
     stats: Dict[str, Dict[str, int]] = {}
-    spec = ISpec(manager, call.f, call.c)
     for name in heuristics:
-        heuristic = HEURISTICS[name]
         _flush(manager, gc_roots)
-        stats_before = manager.statistics()
-        started = time.perf_counter()
-        try:
-            with governed(manager, budget):
-                cover = heuristic(manager, call.f, call.c)
-        except RECOVERABLE_ERRORS as error:
-            runtimes[name] = time.perf_counter() - started
-            # The snapshot is recorded on the failure path too — a
-            # journalled cell that fell back to the identity cover
-            # still says how much work it burned before tripping.
-            stats[name] = diff_statistics(
-                stats_before, manager.statistics()
-            )
+        cell = run_cell(
+            manager, call.f, call.c, HEURISTICS[name], name, budget
+        )
+        runtimes[name] = cell.seconds
+        # Recorded on the failure path too — a journalled cell that
+        # fell back to the identity cover still says how much work it
+        # burned before tripping.
+        stats[name] = cell.stats
+        if cell.cover is None:
             sizes[name] = None
-            failures[name] = describe_error(error)
-            continue
-        runtimes[name] = time.perf_counter() - started
-        stats[name] = diff_statistics(stats_before, manager.statistics())
-        # Verification runs outside the governed region: the budget
-        # bounds the heuristic, not the paranoia check on its output.
-        if verify_covers and not spec.is_cover(cover):
-            sizes[name] = None
-            failures[name] = "non-cover: %s returned g with g outside " \
-                "[f*c, f+!c] on %s call %d" % (
-                    name, call.benchmark, call.iteration,
-                )
-            continue
-        sizes[name] = manager.size(cover)
+            failures[name] = cell.reason
+        else:
+            sizes[name] = manager.size(cell.cover)
     lower = None
     if compute_lower_bound:
         _flush(manager, gc_roots)
@@ -380,7 +363,6 @@ def run_heuristics(
     heuristics: Sequence[str] = PAPER_HEURISTICS,
     compute_lower_bound: bool = True,
     cube_limit: int = 1000,
-    verify_covers: bool = True,
     budget=None,
     checkpoint=None,
     resume: bool = False,
@@ -391,10 +373,11 @@ def run_heuristics(
 ) -> ExperimentResults:
     """Measure every heuristic on every recorded call.
 
-    With ``verify_covers`` each result is checked to actually cover its
-    instance — a paranoia bit that has caught real bugs and costs one
-    node-free ``agree`` walk per measurement; a non-cover records a
-    failed cell.
+    Every cell runs through :func:`repro.robust.guard.run_cell`, in
+    this process or in a pool worker: the heuristic is timed alone, and
+    its result is then checked to actually cover its instance — a
+    paranoia bit that has caught real bugs and costs one node-free
+    ``agree`` walk per measurement; a non-cover records a failed cell.
     ``budget`` (a :class:`repro.robust.governor.Budget`) bounds each
     individual heuristic call.  ``checkpoint`` (a path or
     :class:`repro.robust.checkpoint.Checkpoint`) journals completed
@@ -445,8 +428,8 @@ def run_heuristics(
             memory_limit=serve_memory_limit,
             node_budget=budget.max_nodes if budget is not None else None,
             step_budget=budget.max_steps if budget is not None else None,
-            # Workers verify every cover unconditionally — the same
-            # is_cover check the serial sweep runs — so the sweep skips
+            # Workers verify every cover unconditionally — run_cell's
+            # is_cover check, as in the serial sweep — so the sweep skips
             # the pool's parent-side paranoia re-verify: it would repeat
             # the pure-Python check on the reaping thread, serializing
             # work the workers already did in parallel.
@@ -504,7 +487,6 @@ def run_heuristics(
                     call,
                     heuristics,
                     budget,
-                    verify_covers,
                     compute_lower_bound,
                     cube_limit,
                     gc_roots,

@@ -1,5 +1,8 @@
 """Guarded heuristic execution with graceful degradation.
 
+:func:`run_cell` runs, times and cover-checks one heuristic call for
+the serial sweep, the pool worker and :class:`GuardedHeuristic` alike.
+
 :func:`guard` wraps any heuristic of the registry signature
 ``heuristic(manager, f, c) -> ref`` so that it *cannot* take down its
 caller: on budget exhaustion, invariant violation or a broken cover
@@ -10,12 +13,14 @@ failure reason instead of raising.
 Degradation policy
 ------------------
 
-* :class:`~repro.analysis.errors.BudgetExceeded` is *transient*: with
-  a bigger budget the heuristic might succeed, so the guard optionally
-  retries on a ladder of escalating budgets before falling back.
-* :class:`~repro.analysis.errors.InvariantError` and
-  :class:`~repro.analysis.errors.ContractError` are *deterministic*
-  bugs: retrying cannot help, so the guard degrades immediately.
+* :class:`~repro.analysis.errors.BudgetExceeded` is
+  :data:`~repro.analysis.errors.TRANSIENT`: with a bigger budget the
+  heuristic might succeed, so the guard optionally retries on a ladder
+  of escalating budgets before falling back.
+* :class:`~repro.analysis.errors.InvariantError`,
+  :class:`~repro.analysis.errors.ContractError` and a non-cover are
+  :data:`~repro.analysis.errors.DETERMINISTIC` bugs: retrying cannot
+  help, so the guard degrades immediately.
 * Any other exception is a programming error and propagates — the
   guard must never mask genuine crashes as degradations.
 
@@ -28,10 +33,20 @@ contract audits.
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Sequence, Tuple
+import time
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.analysis.errors import BudgetExceeded, ContractError, InvariantError
+from repro.analysis.errors import (
+    DETERMINISTIC,
+    RECOVERABLE_ERRORS,
+    TRANSIENT,
+    BudgetExceeded,
+    ContractError,
+)
 from repro.bdd.manager import Manager
+from repro.core.ispec import ISpec
+from repro.obs.metrics import diff_statistics
 from repro.robust.governor import Budget, governed
 
 #: Environment variable globally enabling guarded heuristic dispatch.
@@ -53,13 +68,72 @@ def describe_error(error: BaseException) -> str:
     return "%s: %s" % (name, text) if text else name
 
 
+@dataclass
+class Cell:
+    """One heuristic call as :func:`run_cell` ran it.
+
+    ``cover`` is ``None`` when the call failed; ``reason`` and ``kind``
+    (:data:`~repro.analysis.errors.TRANSIENT` or
+    :data:`~repro.analysis.errors.DETERMINISTIC`) then say why, and
+    ``error`` is the caught exception.  ``seconds`` and ``stats`` (a
+    :func:`~repro.obs.metrics.diff_statistics` delta) cover the
+    governed heuristic call only, failed or not.
+    """
+
+    cover: Optional[int]
+    seconds: float
+    stats: Dict[str, int]
+    reason: Optional[str] = None
+    kind: Optional[str] = None
+    error: Optional[BaseException] = None
+
+
+def run_cell(
+    manager: Manager,
+    f: int,
+    c: int,
+    heuristic: Callable[[Manager, int, int], int],
+    name: str,
+    budget: Optional[Budget],
+) -> Cell:
+    """Run ``heuristic(manager, f, c)`` under ``budget`` and check it.
+
+    The call is timed and its statistics delta taken over the governed
+    region alone.  The cover check (one node-free ``agree`` walk through
+    :meth:`ISpec.is_cover <repro.core.ispec.ISpec.is_cover>`) runs
+    after it, outside that region.  A budget trip, a broken invariant or
+    contract, or a non-cover returns a failed :class:`Cell`; any other
+    exception is a programming error and propagates.
+    """
+    stats_before = manager.statistics()
+    started = time.perf_counter()
+    try:
+        try:
+            with governed(manager, budget):
+                cover = heuristic(manager, f, c)
+        finally:
+            # The timed region ends here, failed or not: the check
+            # below is the runner's work, not the heuristic's.
+            seconds = time.perf_counter() - started
+            stats = diff_statistics(stats_before, manager.statistics())
+        if not ISpec(manager, f, c).is_cover(cover):
+            raise ContractError("%s returned a non-cover" % name)
+    except RECOVERABLE_ERRORS as error:
+        transient = isinstance(error, BudgetExceeded)
+        kind = TRANSIENT if transient else DETERMINISTIC
+        return Cell(None, seconds, stats, describe_error(error), kind, error)
+    return Cell(cover, seconds, stats)
+
+
 class GuardedHeuristic:
     """A heuristic wrapper that degrades instead of raising.
 
     Callable with the registry signature ``(manager, f, c) -> ref``.
-    After each call, :attr:`last_failure` holds the failure reason (or
-    ``None`` on clean success) and :attr:`failures` counts degradations
-    over the wrapper's lifetime.
+    Each ladder rung is one :func:`run_cell`, so every result is
+    checked to cover ``[f, c]``; a non-cover degrades like any contract
+    violation.  After each call, :attr:`last_failure` holds the failure
+    reason (or ``None`` on clean success) and :attr:`failures` counts
+    degradations over the wrapper's lifetime.
 
     Parameters
     ----------
@@ -75,13 +149,6 @@ class GuardedHeuristic:
         (default: a single attempt at scale 1).  Ignored without a
         budget — an unbudgeted failure is deterministic, so there is
         nothing to escalate.
-    verify:
-        Check the result covers ``[f, c]`` (one node-free walk); a
-        non-cover degrades like any contract violation.  On by default:
-        a guard that can return wrong answers is not a guard.
-    flush_before_verify:
-        Flush the computed tables before the cover check, so the check
-        cannot be fooled by a corrupted cache (used by fault drills).
     on_failure:
         Optional callback ``(name, reason) -> None`` invoked on every
         degradation.
@@ -93,8 +160,6 @@ class GuardedHeuristic:
         name: Optional[str] = None,
         budget: Optional[Budget] = None,
         ladder: Optional[Sequence[float]] = None,
-        verify: bool = True,
-        flush_before_verify: bool = False,
         on_failure: Optional[Callable[[str, str], None]] = None,
     ):
         self.heuristic = heuristic
@@ -107,8 +172,6 @@ class GuardedHeuristic:
         if not ladder:
             raise ValueError("ladder must contain at least one scale factor")
         self.ladder: Tuple[float, ...] = tuple(ladder)
-        self.verify = verify
-        self.flush_before_verify = flush_before_verify
         self.on_failure = on_failure
         self.calls = 0
         self.failures = 0
@@ -122,7 +185,6 @@ class GuardedHeuristic:
         self.calls += 1
         self.last_failure = None
         self.last_attempts = 0
-        reason = "no attempt made"
         # Without a budget, escalation is meaningless: run once.
         factors = self.ladder if self.budget is not None else (1.0,)
         for rung, factor in enumerate(factors):
@@ -133,22 +195,15 @@ class GuardedHeuristic:
             )
             self.attempts += 1
             self.last_attempts = rung + 1
-            try:
-                with governed(manager, attempt_budget):
-                    cover = self.heuristic(manager, f, c)
-                self._verify_cover(manager, f, c, cover)
-            except (InvariantError, ContractError) as error:
-                # Deterministic failure: a bigger budget cannot help.
-                reason = self._annotate(
-                    describe_error(error), rung, attempt_budget
-                )
+            cell = run_cell(
+                manager, f, c, self.heuristic, self.name, attempt_budget
+            )
+            if cell.cover is not None:
+                return cell.cover
+            reason = self._annotate(cell.reason, rung, attempt_budget)
+            if cell.kind == DETERMINISTIC:
+                # A bigger budget cannot help.
                 break
-            except BudgetExceeded as error:
-                reason = self._annotate(
-                    describe_error(error), rung, attempt_budget
-                )
-            else:
-                return cover
         self.failures += 1
         self.last_failure = reason
         if self.on_failure is not None:
@@ -172,20 +227,6 @@ class GuardedHeuristic:
             attempt_budget.describe(),
         )
 
-    def _verify_cover(
-        self, manager: Manager, f: int, c: int, cover: int
-    ) -> None:
-        if not self.verify:
-            return
-        if self.flush_before_verify:
-            manager.clear_caches()
-        from repro.bdd.cover import is_def2_cover
-
-        if not is_def2_cover(manager, f, c, cover):
-            raise ContractError(
-                "guarded heuristic %r returned a non-cover" % self.name
-            )
-
     def __repr__(self) -> str:
         budget = self.budget.describe() if self.budget else "unlimited"
         return "GuardedHeuristic(%s, budget=%s)" % (self.name, budget)
@@ -197,8 +238,6 @@ def guard(
     budget: Optional[Budget] = None,
     escalate: bool = False,
     ladder: Optional[Sequence[float]] = None,
-    verify: Optional[bool] = None,
-    flush_before_verify: bool = False,
     on_failure: Optional[Callable[[str, str], None]] = None,
 ) -> GuardedHeuristic:
     """Wrap ``heuristic`` for graceful degradation (see module docs).
@@ -217,10 +256,6 @@ def guard(
             conflicts.append("escalate")
         if ladder is not None and tuple(ladder) != heuristic.ladder:
             conflicts.append("ladder")
-        if verify is not None and verify != heuristic.verify:
-            conflicts.append("verify")
-        if flush_before_verify and not heuristic.flush_before_verify:
-            conflicts.append("flush_before_verify")
         if on_failure is not None and on_failure is not heuristic.on_failure:
             conflicts.append("on_failure")
         if name is not None and name != heuristic.name:
@@ -240,7 +275,5 @@ def guard(
         name=name,
         budget=budget,
         ladder=ladder,
-        verify=True if verify is None else verify,
-        flush_before_verify=flush_before_verify,
         on_failure=on_failure,
     )

@@ -20,7 +20,9 @@ There is one dispatch path.  Every request is a batch envelope
 one (:meth:`MinimizationPool.execute`).  The child decodes each shared
 instance once into a **warm, resident manager** (:class:`_WarmHost` —
 persisting across requests, collected between cells, compacted past a
-node watermark), runs the registry heuristic, verifies the cover, and
+node watermark), runs the registry heuristic and checks its cover
+through :func:`repro.robust.guard.run_cell` (so a reply's ``runtime``
+and ``stats`` are the heuristic's own, as in the serial sweep), and
 streams one reply per cell back.  On *any* failure — timeout, OOM,
 crash, budget trip, contract violation — the affected cell (and only
 that cell) degrades to the identity cover ``g = f`` (always correct per
@@ -71,8 +73,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.errors import (
-    BudgetExceeded,
-    ContractError,
+    DETERMINISTIC,
+    TRANSIENT,
     DeadlineExceeded,
     InvariantError,
 )
@@ -99,10 +101,6 @@ DEFAULT_DEADLINE = 10.0
 #: the child's cooperative deadline governor a chance to degrade
 #: cleanly (cheap) before the OS-level kill (loses the warm worker).
 DEFAULT_KILL_GRACE = 0.25
-
-#: Failure classifications carried by :class:`ServeResult`.
-TRANSIENT = "transient"
-DETERMINISTIC = "deterministic"
 
 #: Compaction watermark for warm worker managers: when the resident
 #: manager's node table (live plus free-list slots) grows past this
@@ -213,14 +211,14 @@ class ServeResult:
     short_circuited: bool = False
     runtime: float = 0.0
     attempts: int = 1
-    #: The worker manager's per-request ``statistics()`` delta, shipped
-    #: back across the process boundary (None when the worker never got
-    #: far enough to have a manager — watchdog kills, crashes,
-    #: undecodable requests).  Worker managers are *warm* — they persist
-    #: across requests — so cumulative counters are differenced against
-    #: a snapshot taken at cell start (:func:`repro.obs.metrics
-    #: .diff_statistics`), while table-size readings (``live_nodes``,
-    #: ``peak_nodes``) report the post-cell value.
+    #: The worker manager's ``statistics()`` delta over the heuristic
+    #: call alone (:func:`repro.robust.guard.run_cell`, which also
+    #: times ``runtime``), shipped back across the process boundary
+    #: (None when the worker never ran the heuristic — watchdog kills,
+    #: crashes, undecodable requests).  Cumulative counters are
+    #: differenced (:func:`repro.obs.metrics.diff_statistics`), while
+    #: table-size readings (``live_nodes``, ``peak_nodes``) are taken
+    #: right after the call, before the between-cell collection.
     stats: Optional[Dict[str, int]] = None
 
     @property
@@ -487,18 +485,17 @@ def _run_cell(
     method: str,
 ) -> dict:
     """Decode (or reuse) a cell's shared instance and run the cell on
-    the warm manager; never raises.
+    the warm manager through :func:`repro.robust.guard.run_cell`;
+    never raises.
 
     Even a failed cell ships its statistics delta home (the journals
     can then explain *why* it degraded, e.g. nodes created right up
     against the budget).
     """
-    from repro.core.ispec import ISpec
     from repro.core.registry import HEURISTICS
-    from repro.robust.governor import Budget, governed
-    from repro.robust.guard import describe_error
+    from repro.robust.governor import Budget
+    from repro.robust.guard import describe_error, run_cell
 
-    started = time.perf_counter()
     try:
         manager, (f, c) = shared.load(index, clock)
     except WireError as error:
@@ -506,29 +503,15 @@ def _run_cell(
             "status": "failed",
             "reason": "WireError: %s" % error,
             "kind": DETERMINISTIC,
-            "runtime": time.perf_counter() - started,
         }
-    stats_before = manager.statistics()
-
-    def stats() -> Dict[str, int]:
-        return obs_metrics.diff_statistics(stats_before, manager.statistics())
-
-    def failed(reason: str, kind: str) -> dict:
-        return {
-            "status": "failed",
-            "reason": reason,
-            "kind": kind,
-            "runtime": time.perf_counter() - started,
-            "stats": stats(),
-        }
-
     heuristic = HEURISTICS.get(method)
     if heuristic is None:
-        return failed(
-            "UnknownHeuristic: %r is not registered in this worker"
-            % method,
-            DETERMINISTIC,
-        )
+        return {
+            "status": "failed",
+            "reason": "UnknownHeuristic: %r is not registered in this "
+            "worker" % method,
+            "kind": DETERMINISTIC,
+        }
     # The wall-clock deadline is enforced by the interval-timer alarm
     # when available — the governor then only installs its per-event
     # hook when a node/step budget actually needs counting, keeping
@@ -539,25 +522,33 @@ def _run_cell(
         max_steps=request.get("step_budget"),
         deadline=None if use_alarm else request.get("deadline"),
     )
+    started = time.perf_counter()
     try:
         with clock.phase("worker.compute"):
             with _ALARM.limit(
                 request.get("deadline") if use_alarm else None
             ):
-                with governed(
-                    manager, None if budget.unlimited else budget
-                ):
-                    cover = heuristic(manager, f, c)
-                if not ISpec(manager, f, c).is_cover(cover):
-                    return failed(
-                        "ContractError: %s returned a non-cover" % method,
-                        DETERMINISTIC,
-                    )
+                cell = run_cell(manager, f, c, heuristic, method, budget)
+        if cell.cover is None:
+            # An alarm-raised deadline interrupts the manager at an
+            # arbitrary bytecode — possibly mid-mutation — and a broken
+            # invariant means it is already corrupt: either way the
+            # resident manager cannot be trusted afterwards.
+            if isinstance(cell.error, (DeadlineExceeded, InvariantError)):
+                host.poison()
+            return {
+                "status": "failed",
+                "reason": cell.reason,
+                "kind": cell.kind,
+                "runtime": cell.seconds,
+                "stats": cell.stats,
+            }
         # Between-cell collection on the warm manager: the heuristic's
         # scratch nodes are dead weight once the cover is known, and
         # past the node watermark the sweep compacts.  The wire format
         # emits canonically, so a remapped ref serializes to the same
         # bytes the uncollected one would.
+        cover = cell.cover
         with clock.phase("worker.gc"):
             remap = host.settle(shared.live() + [cover])
             if remap is not None:
@@ -565,37 +556,29 @@ def _run_cell(
                 shared.remap(remap)
         with clock.phase("worker.encode"):
             payload = serialize(manager, (cover,))
-    except DeadlineExceeded as error:
-        # An alarm-raised deadline interrupts the manager at an
-        # arbitrary bytecode — possibly mid-mutation — so the resident
-        # manager cannot be trusted afterwards.
-        host.poison()
-        return failed(describe_error(error), TRANSIENT)
-    except BudgetExceeded as error:
-        return failed(describe_error(error), TRANSIENT)
     except MemoryError:
-        host.poison()
-        return failed(
-            "MemoryError: worker memory cap exceeded", TRANSIENT
-        )
-    except InvariantError as error:
-        host.poison()
-        return failed(describe_error(error), DETERMINISTIC)
-    except ContractError as error:
-        return failed(describe_error(error), DETERMINISTIC)
+        reason, kind = "MemoryError: worker memory cap exceeded", TRANSIENT
     except Exception as error:  # noqa: BLE001 - the boundary must hold
         # A programming error cannot propagate across the process
         # boundary as an exception; it is reported fail-fast instead
         # (deterministic: retrying the same bug cannot help).
-        host.poison()
-        return failed(
-            "WorkerError: %s" % describe_error(error), DETERMINISTIC
-        )
+        reason = "WorkerError: %s" % describe_error(error)
+        kind = DETERMINISTIC
+    else:
+        return {
+            "status": "ok",
+            "payload": payload,
+            "runtime": cell.seconds,
+            "stats": cell.stats,
+        }
+    # run_cell does not classify these, so there is no cell to report,
+    # and the failure may have left the manager half-updated.
+    host.poison()
     return {
-        "status": "ok",
-        "payload": payload,
+        "status": "failed",
+        "reason": reason,
+        "kind": kind,
         "runtime": time.perf_counter() - started,
-        "stats": stats(),
     }
 
 

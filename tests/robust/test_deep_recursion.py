@@ -191,7 +191,6 @@ class TestDeepHeuristics:
                 call,
                 tuple(HEURISTICS),
                 budget=None,
-                verify_covers=True,
                 compute_lower_bound=True,
                 cube_limit=4,
                 gc_roots=None,

@@ -99,22 +99,20 @@ class TestCacheFault:
         assignment = {0: True, 1: True}
         assert manager.eval(healed, assignment)
 
-    def test_guard_with_flush_catches_corruption(self):
+    def test_guard_catches_corruption(self):
         # The nightmare scenario: no exception, just wrong answers.
         # Warm the cache, then a one-shot corruption fires on the
-        # heuristic's first step, so its cache hits lie to it.
-        # flush_before_verify makes the guard's cover check recompute
-        # on clean tables, so a corrupted result cannot sneak through:
-        # whatever the guard returns IS a cover.
+        # heuristic's first step, so its cache hits lie to it.  The
+        # guard's cover check is a node-free agree walk that never
+        # reads the ITE table, so a corrupted result cannot sneak
+        # through: whatever the guard returns IS a cover.
         manager = _faulty(FAULT_CACHE, at=1)
         f, c = _build_instance(manager)
         spec = ISpec(manager, f, c)
         spec.is_cover(manager.and_(f, c))  # warm the ITE cache
         assert manager.statistics()["ite_cache"] > 0
         manager.armed = True
-        guarded = guard(
-            constrain, name="constrain", flush_before_verify=True
-        )
+        guarded = guard(constrain, name="constrain")
         cover = guarded(manager, f, c)
         manager.armed = False
         manager.clear_caches()

@@ -1,8 +1,12 @@
 """Tests for guarded heuristic execution and graceful degradation."""
 
+import time
+
 import pytest
 
 from repro.analysis.errors import (
+    DETERMINISTIC,
+    TRANSIENT,
     ContractError,
     InvariantError,
     NodeBudgetExceeded,
@@ -17,6 +21,7 @@ from repro.robust.guard import (
     GuardedHeuristic,
     guard,
     guarding_enabled,
+    run_cell,
 )
 
 
@@ -74,11 +79,6 @@ class TestDegradation:
         assert cover == f
         assert "non-cover" in guarded.last_failure
 
-    def test_verify_false_trusts_the_heuristic(self):
-        manager, f, c = _instance()
-        guarded = guard(lambda mgr, ff, cc: ZERO, verify=False)
-        assert guarded(manager, f, c) == ZERO
-
     def test_programming_errors_propagate(self):
         manager, f, c = _instance()
 
@@ -102,6 +102,83 @@ class TestDegradation:
         assert len(seen) == 1
         assert seen[0][0] == "osm_bt"
         assert "StepBudgetExceeded" in seen[0][1]
+
+
+class TestRunCell:
+    def test_success_returns_the_checked_cover(self):
+        manager, f, c = _instance()
+        cell = run_cell(manager, f, c, HEURISTICS["osm_bt"], "osm_bt", None)
+        assert cell.cover is not None
+        assert ISpec(manager, f, c).is_cover(cell.cover)
+        assert (cell.reason, cell.kind, cell.error) == (None, None, None)
+        assert cell.seconds >= 0.0
+        assert "ite_calls" in cell.stats
+
+    def test_node_budget_trip_is_transient_with_stats(self):
+        manager, f, c = _ladder_instance()
+        before = manager.statistics()["nodes_created"]
+        cell = run_cell(
+            manager, f, c, HEURISTICS["constrain"], "constrain",
+            Budget(max_nodes=1),
+        )
+        assert cell.cover is None
+        assert cell.kind == TRANSIENT
+        assert isinstance(cell.error, NodeBudgetExceeded)
+        assert cell.reason.startswith("NodeBudgetExceeded")
+        # The work burned before the trip is on record.
+        created = manager.statistics()["nodes_created"] - before
+        assert cell.stats["nodes_created"] == created >= 1
+
+    def test_non_cover_is_deterministic(self):
+        manager, f, c = _instance()
+        cell = run_cell(
+            manager, f, c, lambda mgr, ff, cc: ZERO, "broken", None
+        )
+        assert cell.cover is None
+        assert cell.kind == DETERMINISTIC
+        assert isinstance(cell.error, ContractError)
+        assert cell.reason == "ContractError: broken returned a non-cover"
+
+    def test_invariant_error_is_deterministic(self):
+        manager, f, c = _instance()
+
+        def corrupt(mgr, ff, cc):
+            raise InvariantError("corrupt table")
+
+        cell = run_cell(manager, f, c, corrupt, "corrupt", None)
+        assert cell.cover is None
+        assert cell.kind == DETERMINISTIC
+        assert cell.reason == "InvariantError: corrupt table"
+
+    def test_programming_errors_propagate(self):
+        manager, f, c = _instance()
+
+        def crashes(mgr, ff, cc):
+            raise ValueError("a genuine bug")
+
+        with pytest.raises(ValueError):
+            run_cell(manager, f, c, crashes, "crashes", None)
+
+    def test_seconds_and_stats_exclude_the_cover_check(self, monkeypatch):
+        # A planted cover check that sleeps and walks agree: neither its
+        # time nor its agree steps may be charged to the heuristic.
+        manager, f, c = _ladder_instance()
+        original = ISpec.is_cover
+
+        def slow_check(spec, g):
+            time.sleep(0.2)
+            spec.manager.agree(spec.f, ONE, spec.c)
+            return original(spec, g)
+
+        monkeypatch.setattr(ISpec, "is_cover", slow_check)
+        before = manager.statistics()["agree_steps"]
+        cell = run_cell(
+            manager, f, c, lambda mgr, ff, cc: ff, "identity", None
+        )
+        assert cell.cover == f
+        assert manager.statistics()["agree_steps"] > before
+        assert cell.stats["agree_steps"] == 0
+        assert cell.seconds < 0.1
 
 
 class TestLadder:
@@ -244,11 +321,6 @@ class TestAttemptAccounting:
 
 
 class TestGuardConflicts:
-    def test_conflicting_verify_raises(self):
-        guarded = guard(HEURISTICS["osm_bt"])
-        with pytest.raises(ValueError, match="verify"):
-            guard(guarded, verify=False)
-
     def test_conflicting_escalate_raises(self):
         guarded = guard(HEURISTICS["osm_bt"])
         with pytest.raises(ValueError, match="escalate"):
@@ -272,12 +344,11 @@ class TestGuardConflicts:
     def test_matching_overrides_stay_idempotent(self):
         guarded = guard(HEURISTICS["osm_bt"], name="osm_bt")
         assert guard(guarded, name="osm_bt") is guarded
-        assert guard(guarded, verify=True) is guarded
 
     def test_budget_override_always_rewraps(self):
         guarded = guard(HEURISTICS["osm_bt"])
-        rewrapped = guard(
-            guarded, budget=Budget(max_nodes=5), verify=False
-        )
+        # A conflicting override raises without a budget (above); with
+        # one it builds a fresh wrapper instead.
+        rewrapped = guard(guarded, budget=Budget(max_nodes=5), name="other")
         assert rewrapped is not guarded
-        assert rewrapped.verify is False
+        assert rewrapped.name == "other"

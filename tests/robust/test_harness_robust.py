@@ -4,7 +4,7 @@ The two ISSUE-level guarantees:
 
 * a Table-2 sweep under a tiny node budget completes without raising,
   failed cells carry a reason, and every measured cover was verified
-  (``verify_covers`` stays on);
+  (``run_cell`` always checks it);
 * killing a sweep and re-running with ``resume=True`` yields results
   identical to an uninterrupted run (modulo runtimes, which are
   re-measured wall-clock and inherently non-deterministic).

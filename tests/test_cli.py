@@ -173,6 +173,10 @@ class TestServeCommands:
         # The commit is None only when the tests run outside a checkout.
         provenance = record["provenance"]
         assert provenance["commit"] is None or len(provenance["commit"]) == 40
+        # Whether the tree had uncommitted changes, None outside a
+        # checkout just as the commit is.
+        assert provenance["dirty"] in (True, False, None)
+        assert (provenance["dirty"] is None) == (provenance["commit"] is None)
         assert provenance["nproc"] >= 1
 
     def test_loadtest_unknown_schedule_is_usage_error(self):
