@@ -32,9 +32,11 @@ Subcommands
     guard degraded gracefully.
 ``serve``
     Process-isolated minimization service: JSON-lines requests on
-    stdin, one JSON result per line on stdout, every heuristic call
-    running in a worker process under an OS-level watchdog with
-    per-heuristic circuit breakers (see ``docs/serving.md``).
+    stdin, one JSON result per line on stdout in input order, up to
+    ``--workers`` requests in flight through the gateway, every
+    heuristic call running in a worker process under an OS-level
+    watchdog with per-heuristic circuit breakers (see
+    ``docs/serving.md``).
 ``metrics``
     Run a capped Table-2-style sweep with observability enabled and
     print the BDD-engine counters (ITE calls, cache hits/misses,
@@ -194,19 +196,19 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     with stack:
         if args.isolate:
             from repro.serve.pool import DEFAULT_DEADLINE, MinimizationPool
-            from repro.serve.service import MinimizationService
 
-            pool = MinimizationPool(
+            # Each heuristic runs once, so a breaker could never open
+            # here: the pool alone is the whole path.
+            with MinimizationPool(
                 workers=1,
                 deadline=(
                     args.deadline if args.deadline else DEFAULT_DEADLINE
                 ),
                 node_budget=args.node_budget,
                 step_budget=args.step_budget,
-            )
-            with MinimizationService(pool, own_pool=True) as service:
+            ) as pool:
                 for name in names:
-                    result = service.minimize(
+                    result = pool.minimize(
                         manager, spec.f, spec.c, method=name
                     )
                     note = (
@@ -498,14 +500,143 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """JSON-lines minimization service over stdin/stdout."""
+def _parse_serve_request(line: str):
+    """One JSON request line as ``(manager, f, c, method)``.
+
+    Raises on a malformed request; ``serve`` answers it with a ``bad
+    request`` reply.
+    """
     import json
 
     from repro.core.ispec import parse_instance
-    from repro.serve.breaker import RetryPolicy
+
+    manager = Manager()
+    request = json.loads(line)
+    if not isinstance(request, dict):
+        raise ValueError("request must be a JSON object")
+    if "instance" in request:
+        spec = parse_instance(manager, request["instance"])
+        f, c = spec.f, spec.c
+    elif "f" in request:
+        f = parse_expression(manager, request["f"])
+        c = parse_expression(manager, request.get("care", "1"))
+    else:
+        raise ValueError(
+            'request needs "instance" or "f" (+ optional "care")'
+        )
+    method = request.get("method", "osm_bt")
+    if not isinstance(method, str):
+        raise ValueError("method must be a string")
+    return manager, f, c, method
+
+
+async def _serve_lines(gateway, stream, in_flight: int):
+    """Answer every line of ``stream`` through ``gateway``.
+
+    At most ``in_flight`` requests are in the gateway at once.  Lines
+    are read off the event loop, so a reply that is due is written even
+    while the input is idle.  Replies are written in input order, a
+    malformed line's ``bad request`` reply in its place.  Returns the
+    gateway's statistics.
+    """
+    import asyncio
+    import json
+    import threading
+
+    from repro.bdd.wire import deserialize, serialize_instance
+    from repro.serve.gateway import GatewayError
+
+    loop = asyncio.get_running_loop()
+    slots = asyncio.Semaphore(in_flight)
+    ordered: "asyncio.Queue" = asyncio.Queue()
+    # One line at a time: the reader waits until the loop takes each.
+    lines: "asyncio.Queue" = asyncio.Queue(maxsize=1)
+
+    def read_lines():
+        # A daemon thread, not an executor's, which the interpreter
+        # would join at exit: an interrupt must not wait for input.
+        def hand_over(item):
+            asyncio.run_coroutine_threadsafe(lines.put(item), loop).result()
+
+        try:
+            for line in stream:
+                line = line.strip()
+                if line:
+                    hand_over(line)
+            hand_over("")
+        except Exception as error:  # noqa: BLE001 — raised on the loop
+            hand_over(error)
+
+    async def answer(manager, f, c, method):
+        f_size = manager.size(f)
+        try:
+            reply = await gateway.submit(
+                serialize_instance(manager, f, c), method
+            )
+        except GatewayError as error:
+            return {
+                "method": method,
+                "ok": False,
+                "f_size": f_size,
+                "size": f_size,
+                "reason": "%s: %s" % (type(error).__name__, error),
+            }
+        finally:
+            slots.release()
+        cover = f
+        if reply.payload is not None:
+            _, (cover,) = deserialize(reply.payload, manager=manager)
+        result = {
+            "method": method,
+            "ok": reply.ok,
+            "f_size": f_size,
+            "size": manager.size(cover),
+            "runtime": round(reply.runtime, 6),
+        }
+        if reply.reason:
+            result["reason"] = reply.reason
+        return result
+
+    async def write_in_order():
+        while True:
+            reply = await ordered.get()
+            if reply is None:
+                return
+            print(json.dumps(await reply), flush=True)
+
+    async with gateway:
+        writer = asyncio.ensure_future(write_in_order())
+        threading.Thread(target=read_lines, daemon=True).start()
+        while True:
+            line = await lines.get()
+            if isinstance(line, Exception):
+                raise line
+            if not line:
+                break
+            try:
+                request = _parse_serve_request(line)
+            except Exception as error:  # noqa: BLE001 — a service loop
+                # must answer malformed requests, never die on them.
+                reply = loop.create_future()
+                reply.set_result(
+                    {"ok": False, "error": "bad request: %s" % error}
+                )
+            else:
+                await slots.acquire()
+                reply = asyncio.ensure_future(answer(*request))
+            ordered.put_nowait(reply)
+        ordered.put_nowait(None)
+        await writer
+        return gateway.statistics()
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """JSON-lines minimization over stdin/stdout, through the gateway."""
+    import asyncio
+
+    from repro.serve.breaker import BreakerBoard
+    from repro.serve.gateway import MinimizationGateway
     from repro.serve.pool import MinimizationPool
-    from repro.serve.service import MinimizationService
 
     pool = MinimizationPool(
         workers=args.workers,
@@ -513,70 +644,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memory_limit=args.memory_limit,
         recycle_after=args.recycle_after,
     )
-    served = 0
+    # The gateway has one dispatcher per worker and serve keeps at most
+    # --workers lines in flight, so no admitted request waits in the
+    # queue and each gets its whole --deadline on a worker.
+    gateway = MinimizationGateway(pool, board=BreakerBoard(), own_pool=True)
     stream = open(args.input) if args.input else sys.stdin
-    with MinimizationService(
-        pool,
-        retry=RetryPolicy(max_attempts=args.retries + 1),
-        own_pool=True,
-    ) as service:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            manager = Manager()
-            try:
-                request = json.loads(line)
-                if not isinstance(request, dict):
-                    raise ValueError("request must be a JSON object")
-                if "instance" in request:
-                    spec = parse_instance(manager, request["instance"])
-                    f, c = spec.f, spec.c
-                elif "f" in request:
-                    f = parse_expression(manager, request["f"])
-                    c = parse_expression(manager, request.get("care", "1"))
-                else:
-                    raise ValueError(
-                        'request needs "instance" or "f" (+ optional '
-                        '"care")'
-                    )
-            except Exception as error:  # noqa: BLE001 — a service loop
-                # must answer malformed requests, never die on them.
-                print(
-                    json.dumps(
-                        {
-                            "ok": False,
-                            "error": "bad request: %s" % error,
-                        }
-                    ),
-                    flush=True,
-                )
-                continue
-            result = service.minimize(
-                manager, f, c, method=request.get("method", "osm_bt")
-            )
-            reply = {
-                "method": result.method,
-                "ok": result.ok,
-                "f_size": manager.size(f),
-                "size": manager.size(result.cover),
-                "runtime": round(result.runtime, 6),
-            }
-            if result.reason:
-                reply["reason"] = result.reason
-            print(json.dumps(reply), flush=True)
-            served += 1
-    if stream is not sys.stdin:
-        stream.close()
-    stats = service.statistics()
+    try:
+        stats = asyncio.run(_serve_lines(gateway, stream, args.workers))
+    finally:
+        if stream is not sys.stdin:
+            stream.close()
+    served = stats["admitted"] + stats["shed_overload"]
     print(
         "served %d request(s): %d failure(s), %d short-circuit(s), "
         "%d worker kill(s)"
         % (
             served,
-            stats["failures"],
-            stats["short_circuits"],
-            stats["kills"],
+            served - stats["completed"],
+            stats["breaker_short_circuits"],
+            stats["pool"]["kills"],
         ),
         file=sys.stderr,
     )
@@ -1114,12 +1200,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = commands.add_parser(
         "serve",
         help="process-isolated minimization service (JSON lines)",
+        description="Read one JSON request per line and write one JSON "
+        "reply per line, in input order, running each request through "
+        "the gateway (breakers, budget-bounded retry) on a worker pool. "
+        "A reply's runtime is the gateway's request latency, from "
+        "admission to reply.",
     )
     serve_parser.add_argument(
         "--workers",
         type=int,
         default=2,
-        help="pool worker processes (default 2)",
+        help="pool worker processes, and the most requests in flight "
+        "at once (default 2)",
     )
     serve_parser.add_argument(
         "--deadline",
@@ -1132,13 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="BYTES",
         help="address-space rlimit per worker process",
-    )
-    serve_parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="retries for transient failures, with 2x deadline "
-        "backoff per attempt (default 1)",
     )
     serve_parser.add_argument(
         "--recycle-after",

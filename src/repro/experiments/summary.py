@@ -145,11 +145,11 @@ def aggregate_stats(
 ) -> Dict[str, Dict[str, int]]:
     """Fold every cell's statistics snapshot into per-heuristic totals.
 
-    Cumulative counters (ite calls, cache hits/misses, nodes created)
-    are summed across cells; point-in-time values (sizes, peaks) keep
-    their maximum — the same convention
-    :class:`repro.serve.service.MinimizationService` uses for worker
-    snapshots.  Heuristics without any recorded snapshot are absent.
+    :func:`repro.obs.metrics.merge_counts` sums cumulative counters
+    (ite calls, cache hits/misses, nodes created) across cells and keeps
+    the maximum of point-in-time values (sizes, peaks).  A pooled cell
+    carries its worker's snapshot, so serial and pooled sweeps fold the
+    same way.  Heuristics without any recorded snapshot are absent.
     """
     from repro.obs.metrics import merge_counts
 

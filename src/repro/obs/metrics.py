@@ -277,13 +277,11 @@ def merge_counts(
 #: something goes wrong is invisible exactly when dashboards are being
 #: built.  Grouped by the module that increments them.
 SERVE_COUNTER_KEYS = (
-    # repro.serve.pool / repro.serve.service
+    # repro.serve.pool
     "serve.batch_cells",
     "serve.batch_partial_failures",
     "serve.batches",
     "serve.probe_failures",
-    "serve.retries",
-    "serve.short_circuits",
     "serve.watchdog_kills",
     "serve.worker_crashes",
     "serve.worker_recycles",

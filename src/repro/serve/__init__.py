@@ -14,27 +14,27 @@ the way industrial flows invoke it thousands of times per run:
     child processes under an OS-level wall-clock watchdog (SIGKILL on
     overrun, worker recycled) and an optional address-space rlimit.
 :mod:`repro.serve.breaker`
-    Per-heuristic closed/open/half-open circuit breakers and a bounded
-    retry-with-backoff policy — both measured in requests, not wall
-    time, so every scenario replays deterministically.
-:mod:`repro.serve.service`
-    :class:`MinimizationService`: a thin synchronous adapter adding
-    breakers and bounded retry to the pool.  Every request returns a
-    valid cover (heuristic result or the Definition-2 identity
-    ``g = f``) with the failure reason recorded — the service never
-    raises on a request.
+    Per-heuristic closed/open/half-open circuit breakers, measured in
+    requests, not wall time, so every scenario replays
+    deterministically.
 :mod:`repro.serve.gateway`
-    :class:`MinimizationGateway`: the asyncio front door for
-    concurrent load — bounded admission queue with typed load shedding
+    :class:`MinimizationGateway`: the front door for repeated traffic
+    — bounded admission queue with typed load shedding
     (:class:`OverloadedError`), end-to-end deadline propagation (queue
     wait deducted from the worker budget; expired requests shed
-    without dispatch), deterministic counter-based hedged retries, and
-    a worker supervisor with capped-backoff health probing.
+    without dispatch), per-heuristic breakers, one retry of a
+    transient failure within the request's remaining budget,
+    deterministic counter-based hedged retries, and a worker
+    supervisor with capped-backoff health probing.  Every request that
+    runs returns a valid cover (heuristic result or the Definition-2
+    identity ``g = f``) with the failure reason recorded.
 
-The experiment harness shards benchmark cells across the pool with
-``run_experiment(parallel=N)`` / ``repro-bdd experiments --parallel N``,
-and ``repro-bdd serve`` / ``repro-bdd minimize --isolate`` expose the
-layer on the command line.  See ``docs/serving.md``.
+Callers that run one heuristic at a time and need no breaker call
+:meth:`MinimizationPool.minimize` directly.  The experiment harness
+shards benchmark cells across the pool with
+``run_experiment(parallel=N)`` / ``repro-bdd experiments --parallel N``;
+``repro-bdd serve`` goes through the gateway and ``repro-bdd minimize
+--isolate`` through the pool.  See ``docs/serving.md``.
 """
 
 from repro.bdd.wire import (
@@ -50,7 +50,6 @@ from repro.serve.breaker import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    RetryPolicy,
 )
 from repro.serve.gateway import (
     DeadlineExpired,
@@ -69,11 +68,9 @@ from repro.serve.pool import (
     TRANSIENT,
     WireOutcome,
 )
-from repro.serve.service import MinimizationService
 
 __all__ = [
     "MinimizationPool",
-    "MinimizationService",
     "MinimizationGateway",
     "GatewayError",
     "GatewayReply",
@@ -85,7 +82,6 @@ __all__ = [
     "WireOutcome",
     "CircuitBreaker",
     "BreakerBoard",
-    "RetryPolicy",
     "CLOSED",
     "OPEN",
     "HALF_OPEN",

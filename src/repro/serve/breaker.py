@@ -1,4 +1,4 @@
-"""Per-heuristic circuit breakers and retry policy for the serve layer.
+"""Per-heuristic circuit breakers for the serve layer.
 
 A heuristic that keeps getting its worker SIGKILLed is not going to
 start succeeding on the next request — but every attempt costs a full
@@ -23,14 +23,12 @@ makes the same decisions, so every breaker scenario is exactly
 reproducible in tests — the same determinism-over-wall-clock choice as
 :class:`repro.robust.faults.FaultPlan`.
 
-:class:`RetryPolicy` is the companion knob for *transient* failures
-(deadline kills, OOM, budget trips, worker crashes): retry up to
-``max_attempts`` times with the deadline scaled by ``backoff`` each
-attempt — the process-level analogue of the guard's escalation ladder.
-Deterministic failures (contract violations, unknown heuristics) are
-never retried: a bug does not heal under a bigger deadline.  This
-mirrors the transient/deterministic split of
-:mod:`repro.robust.guard` exactly.
+Breakers gate :class:`repro.serve.gateway.MinimizationGateway` and the
+experiment harness's pooled sweep.  The gateway also retries a
+*transient* failure (deadline kill, OOM, budget trip, worker crash)
+once, inside the request's remaining budget; deterministic failures
+(contract violations, unknown heuristics) are never retried: a bug
+does not heal on a second attempt.
 
 Breakers are **thread-safe**: every transition and counter update
 happens under a per-breaker lock, so the asyncio gateway's dispatcher
@@ -43,7 +41,6 @@ sequences, but each observed interleaving drives the same transitions.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.analysis.flow import deterministic
@@ -158,37 +155,6 @@ class CircuitBreaker:
             self.failure_threshold,
             self.cooldown,
         )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with deterministic deadline backoff.
-
-    ``max_attempts`` counts the first attempt: ``max_attempts=1`` means
-    no retries.  Attempt *k* (0-based) runs under
-    ``base_deadline * backoff ** k`` — the serve-layer analogue of the
-    guard's budget-escalation ladder.  Only *transient* failures are
-    retried; the caller must fail fast on deterministic ones.
-    """
-
-    max_attempts: int = 2
-    backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                "max_attempts must be >= 1, got %d" % self.max_attempts
-            )
-        if self.backoff < 1.0:
-            raise ValueError(
-                "backoff must be >= 1.0, got %g" % self.backoff
-            )
-
-    def deadline_for(self, base_deadline: float, attempt: int) -> float:
-        """Deadline for the 0-based ``attempt``."""
-        if attempt < 0:
-            raise ValueError("attempt must be >= 0")
-        return base_deadline * (self.backoff ** attempt)
 
 
 class BreakerBoard:

@@ -21,7 +21,10 @@ budget, not a per-hop one: time spent queued is deducted from the
 worker deadline, and a request whose budget is already exhausted when a
 dispatcher picks it up is shed with :class:`DeadlineExpired` *without
 ever dispatching to a worker* — a doomed request must not burn a worker
-slot that a live one could use.
+slot that a live one could use.  The same budget bounds the one retry
+a transiently failed single-cell request gets (worker crash, budget
+trip): a request killed at its deadline has nothing left to retry in,
+so it degrades after one deadline.
 
 **Deterministic counter-based hedged retries.**  Straggler latency
 (a worker descheduled, stalled, or about to be watchdog-killed) is
@@ -154,7 +157,9 @@ class GatewayReply:
     request payload on degradation.  It is ``None`` only when the
     *request payload itself* was undecodable (so not even the identity
     could be recovered from it) — the caller falls back to its own
-    ``f`` ref, which it necessarily holds.
+    ``f`` ref, which it necessarily holds.  ``runtime`` is the
+    request's latency from admission to reply; a short-circuited cell,
+    which never reaches a worker, reads 0.
     """
 
     method: str
@@ -223,10 +228,6 @@ class MinimizationGateway:
         Optional :class:`~repro.serve.breaker.BreakerBoard`; when set,
         per-heuristic breakers gate dispatch and an open breaker
         degrades the request (typed reason, never an exception).
-    retry_transient:
-        Retry a transiently failed single-cell attempt once inside the
-        remaining budget (the straggler analogue of the service's
-        RetryPolicy — budget-bounded instead of attempt-priced).
     probe_interval:
         Seconds between supervisor health probes (None disables the
         supervisor).  Consecutive unhealthy rounds double the interval
@@ -251,7 +252,6 @@ class MinimizationGateway:
         default_deadline: Optional[float] = None,
         hedge: Optional[HedgePolicy] = None,
         board: Optional[BreakerBoard] = None,
-        retry_transient: bool = True,
         probe_interval: Optional[float] = None,
         probe_timeout: float = 1.0,
         probe_backoff_cap: float = 5.0,
@@ -278,7 +278,6 @@ class MinimizationGateway:
         )
         self.hedge = hedge
         self.board = board
-        self.retry_transient = retry_transient
         self.probe_interval = probe_interval
         self.probe_timeout = probe_timeout
         self.probe_backoff_cap = probe_backoff_cap
@@ -649,7 +648,8 @@ class MinimizationGateway:
         remaining: float,
     ) -> Tuple[List[WireOutcome], int, bool]:
         """Primary attempt; a batch of one also gets an optional hedge
-        and an optional budget retry."""
+        and, after a transient failure, a retry in the remaining
+        budget."""
         loop = asyncio.get_running_loop()
 
         def attempt(budget: float, block: bool = True):
@@ -691,7 +691,6 @@ class MinimizationGateway:
         if (
             not outcome.ok
             and outcome.kind == TRANSIENT
-            and self.retry_transient
             and retry_budget
             > max(
                 MIN_RETRY_REMAINING,

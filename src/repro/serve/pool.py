@@ -30,11 +30,12 @@ Definition 2) with the reason recorded, following the same
 reason-recording protocol as :class:`repro.robust.guard.GuardedHeuristic`
 (``failures``, ``last_failure``, ``on_failure``).
 
-Failures are classified for the circuit breaker / retry layer
-(:mod:`repro.serve.breaker`), mirroring the guard's split:
+Failures are classified for the circuit breakers
+(:mod:`repro.serve.breaker`) and the gateway's budget-bounded retry,
+mirroring the guard's split:
 
 * **transient** — deadline kills, memory kills, worker crashes, budget
-  trips: a retry (with a bigger deadline) might succeed;
+  trips: a retry might succeed;
 * **deterministic** — contract violations, invariant violations,
   unknown heuristics, malformed payloads: retrying cannot help.
 
@@ -208,9 +209,7 @@ class ServeResult:
     reason: Optional[str] = None
     kind: str = TRANSIENT
     killed: bool = False
-    short_circuited: bool = False
     runtime: float = 0.0
-    attempts: int = 1
     #: The worker manager's ``statistics()`` delta over the heuristic
     #: call alone (:func:`repro.robust.guard.run_cell`, which also
     #: times ``runtime``), shipped back across the process boundary
@@ -230,11 +229,6 @@ class ServeResult:
     def degraded(self) -> bool:
         """True iff the request fell back to the identity cover."""
         return self.reason is not None
-
-    @property
-    def transient(self) -> bool:
-        """True iff a retry (bigger deadline) could plausibly succeed."""
-        return self.kind == TRANSIENT
 
 
 @dataclass
@@ -1214,8 +1208,6 @@ class MinimizationPool:
             else:
                 position = message["cell"]
                 runtime = message.get("runtime", 0.0)
-                if mreg is not None:
-                    mreg.observe("serve.request_latency", runtime)
                 if message["status"] == "ok":
                     outcomes[position] = WireOutcome(
                         status="ok",

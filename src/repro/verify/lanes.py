@@ -7,9 +7,10 @@ path and reports, per ``(instance, method)``, a normalized
 ``inprocess``
     The registry heuristic called directly — the reference lane.
 ``pool``
-    :class:`~repro.serve.service.MinimizationService` over an isolated
-    :class:`~repro.serve.pool.MinimizationPool` (process workers,
-    watchdog, breakers, retries), each cell a batch of one.
+    :meth:`~repro.serve.pool.MinimizationPool.minimize` (process
+    workers and watchdog; no breaker, no retry), each cell a batch of
+    one: the single-cell envelope that the gateway lane's multi-cell
+    batches are compared with.
 ``gateway``
     The async :class:`~repro.serve.gateway.MinimizationGateway` with
     admission control, each instance's cells submitted as one batch.
@@ -125,7 +126,7 @@ class InProcessLane:
 
 
 class PoolLane:
-    """Process-isolated lane through MinimizationService."""
+    """Process-isolated lane: one ``pool.minimize`` per cell."""
 
     name = "pool"
 
@@ -137,18 +138,15 @@ class PoolLane:
         self, instances: Sequence[Instance], methods: Sequence[str]
     ) -> List[LaneResult]:
         from repro.serve.pool import MinimizationPool
-        from repro.serve.service import MinimizationService
 
-        pool = MinimizationPool(
-            workers=self.workers, deadline=self.deadline
-        )
-        service = MinimizationService(pool, own_pool=True)
         results: List[LaneResult] = []
-        try:
+        with MinimizationPool(
+            workers=self.workers, deadline=self.deadline
+        ) as pool:
             for instance in instances:
                 for method in methods:
                     manager, f, c = instance.decode()
-                    outcome = service.minimize(manager, f, c, method)
+                    outcome = pool.minimize(manager, f, c, method)
                     results.append(
                         LaneResult(
                             self.name,
@@ -160,8 +158,6 @@ class PoolLane:
                             kind=outcome.kind if not outcome.ok else None,
                         )
                     )
-        finally:
-            service.close()
         return results
 
 

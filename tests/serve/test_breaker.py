@@ -1,4 +1,4 @@
-"""Unit tests for the circuit breaker and retry policy (pure, no pool)."""
+"""Unit tests for the circuit breaker (pure, no pool)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.serve.breaker import (
     OPEN,
     BreakerBoard,
     CircuitBreaker,
-    RetryPolicy,
 )
 
 
@@ -97,22 +96,6 @@ class TestStateMachine:
             CircuitBreaker("h", failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker("h", cooldown=0)
-
-
-class TestRetryPolicy:
-    def test_deadline_scaling(self):
-        policy = RetryPolicy(max_attempts=3, backoff=2.0)
-        assert policy.deadline_for(1.5, 0) == 1.5
-        assert policy.deadline_for(1.5, 1) == 3.0
-        assert policy.deadline_for(1.5, 2) == 6.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy().deadline_for(1.0, -1)
 
 
 class TestBreakerBoard:

@@ -14,7 +14,7 @@ from repro.bdd.manager import Manager
 from repro.bdd.wire import deserialize, deserialize_instance, serialize_instance
 from repro.core.ispec import ISpec
 from repro.core.registry import register_heuristic, unregister_heuristic
-from repro.serve.breaker import BreakerBoard
+from repro.serve.breaker import CLOSED, OPEN, BreakerBoard
 from repro.serve.gateway import (
     DeadlineExpired,
     GatewayClosed,
@@ -25,6 +25,7 @@ from repro.serve.gateway import (
     OverloadedError,
 )
 from repro.serve.pool import DETERMINISTIC, MinimizationPool, TRANSIENT
+from tests.serve.test_pool import _flaky_while_flag
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -295,9 +296,7 @@ class TestDegradation:
 
         async def drill():
             with MinimizationPool(workers=1, **FAST) as pool:
-                async with MinimizationGateway(
-                    pool, retry_transient=False
-                ) as gateway:
+                async with MinimizationGateway(pool) as gateway:
                     return await gateway.submit(
                         payload, "test_hang", deadline=0.4
                     )
@@ -376,6 +375,107 @@ class TestDegradation:
         _check_reply(reply, payload)
 
 
+class TestFaultDrill:
+    """Breakers over a real pool: workers killed at the deadline trip
+    the breaker, which short-circuits for its cooldown and then lets a
+    half-open probe through.  A kill leaves no budget to retry in, so
+    every dispatched request is one attempt."""
+
+    def test_kill_trip_cooldown_probe_recovery(self, tmp_path):
+        flag = tmp_path / "hang.flag"
+        flag.write_text("x")
+        register_heuristic(
+            "test_flaky", _flaky_while_flag(str(flag)), replace=True
+        )
+        board = BreakerBoard(failure_threshold=2, cooldown=2)
+        breaker = board.breaker("test_flaky")
+        manager, f, c = _instance()
+        payload = serialize_instance(manager, f, c)
+
+        async def drill():
+            with MinimizationPool(workers=1, **FAST) as pool:
+                async with MinimizationGateway(pool, board=board) as gateway:
+
+                    async def submit():
+                        reply = await gateway.submit(
+                            payload, "test_flaky", deadline=0.4
+                        )
+                        _, (cover,) = deserialize(
+                            reply.payload, manager=manager
+                        )
+                        return reply, cover
+
+                    # Two killed requests trip the breaker.
+                    for _ in range(2):
+                        reply, cover = await submit()
+                        assert "DeadlineExceeded" in reply.reason
+                        assert reply.attempts == 1 and cover == f
+                    assert breaker.state == OPEN
+                    assert pool.kills == 2
+                    # Cooldown: two short-circuits, zero pool traffic.
+                    pool_requests = pool.requests
+                    for _ in range(2):
+                        reply, cover = await submit()
+                        assert reply.attempts == 0
+                        assert "CircuitOpen" in reply.reason
+                        assert cover == f
+                    assert pool.requests == pool_requests
+                    stats = gateway.statistics()
+                    assert stats["breaker_short_circuits"] == 2
+                    # Heal the heuristic, then the half-open probe
+                    # closes the breaker.
+                    flag.unlink()
+                    reply, _ = await submit()
+                    assert reply.ok
+                    assert breaker.state == CLOSED
+                    # And normal traffic flows again.
+                    reply, _ = await submit()
+                    assert reply.ok
+
+        try:
+            _run(drill())
+        finally:
+            unregister_heuristic("test_flaky")
+
+    def test_failed_probe_reopens(self, tmp_path):
+        flag = tmp_path / "hang.flag"
+        flag.write_text("x")
+        register_heuristic(
+            "test_flaky2", _flaky_while_flag(str(flag)), replace=True
+        )
+        board = BreakerBoard(failure_threshold=2, cooldown=2)
+        breaker = board.breaker("test_flaky2")
+        payload = _payload()
+
+        async def drill():
+            with MinimizationPool(workers=1, **FAST) as pool:
+                async with MinimizationGateway(pool, board=board) as gateway:
+
+                    async def submit():
+                        return await gateway.submit(
+                            payload, "test_flaky2", deadline=0.4
+                        )
+
+                    for _ in range(2):
+                        await submit()
+                    assert breaker.state == OPEN
+                    for _ in range(2):
+                        assert "CircuitOpen" in (await submit()).reason
+                    # The probe runs for real, still hangs, and reopens
+                    # the breaker for a full cooldown.
+                    probe = await submit()
+                    assert "DeadlineExceeded" in probe.reason
+                    _check_reply(probe, payload)
+                    assert breaker.state == OPEN
+                    assert breaker.opens == 2
+                    assert "CircuitOpen" in (await submit()).reason
+
+        try:
+            _run(drill())
+        finally:
+            unregister_heuristic("test_flaky2")
+
+
 class TestHedging:
     def test_policy_eligibility_is_counter_based(self):
         policy = HedgePolicy(every=3)
@@ -398,7 +498,6 @@ class TestHedging:
                 async with MinimizationGateway(
                     pool,
                     hedge=HedgePolicy(delay_fraction=0.0, every=1),
-                    retry_transient=False,
                 ) as gateway:
                     reply = await gateway.submit(
                         payload, "osm_bt", deadline=2.0

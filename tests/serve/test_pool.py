@@ -74,6 +74,31 @@ def _sleep_long(manager, f, c):
     return f
 
 
+def _flaky_while_flag(flag_path):
+    """A heuristic that hangs while ``flag_path`` exists, else succeeds.
+
+    The flag lives on disk, so the parent can heal the heuristic
+    between requests even though each request runs in a (possibly
+    recycled) worker process.
+    """
+
+    def flaky(manager, f, c):
+        # The whole loop sits inside the ``try``: the worker's deadline
+        # alarm can land anywhere in it, including the flag check, and
+        # must be swallowed there too.  The fault drills exercise the
+        # watchdog SIGKILL path, so the hang must survive the
+        # cooperative deadline.
+        while True:
+            try:
+                while os.path.exists(flag_path):
+                    time.sleep(0.01)
+                return f
+            except Exception:
+                continue
+
+    return flaky
+
+
 @pytest.fixture
 def registered():
     """Register the pathological heuristics, clean up afterwards."""
@@ -548,7 +573,7 @@ class TestFailureClassification:
         manager, f, c = _instance()
         with MinimizationPool(workers=1) as pool:
             result = pool.minimize(manager, f, c, method="no_such")
-        assert result.kind == DETERMINISTIC and not result.transient
+        assert result.degraded and result.kind == DETERMINISTIC
         assert "UnknownHeuristic" in result.reason
 
     def test_non_cover_is_deterministic(self, registered):
@@ -587,11 +612,12 @@ class TestLifecycle:
 
     def test_serve_result_flags(self):
         result = ServeResult(method="osm_bt", cover=0)
-        assert result.ok and not result.degraded and result.transient
+        assert result.ok and not result.degraded
+        assert result.kind == TRANSIENT
         failed = ServeResult(
             method="osm_bt", cover=0, reason="x", kind=DETERMINISTIC
         )
-        assert failed.degraded and not failed.transient
+        assert failed.degraded and not failed.ok
 
 
 def _stubborn_main(conn, memory_limit):
@@ -700,3 +726,70 @@ class TestProbe:
             assert report["probed"] == 0
             payload_done.wait(timeout=10.0)
             thread.join(timeout=10.0)
+
+
+class TestSweepParity:
+    def test_pooled_sweep_matches_serial(self):
+        # The harness acceptance check: a parallel sweep agrees with
+        # the serial one cell for cell (no failures expected on the
+        # healthy quick benchmark).
+        from repro.experiments.calls import collect_suite_calls
+        from repro.experiments.harness import run_heuristics
+
+        subset = ("osm_bt", "constrain", "restrict", "f_orig")
+        serial = run_heuristics(
+            collect_suite_calls(["tlc"]),
+            heuristics=subset,
+            compute_lower_bound=False,
+        )
+        pooled = run_heuristics(
+            collect_suite_calls(["tlc"]),
+            heuristics=subset,
+            compute_lower_bound=False,
+            parallel=2,
+        )
+        assert serial.total_calls == pooled.total_calls
+        for left, right in zip(serial.results, pooled.results):
+            for name in subset:
+                # Identical modulo None cells (a pooled cell may
+                # additionally degrade on wall-clock effects; none are
+                # expected here, but the contract allows it).
+                if left.sizes[name] is None or right.sizes[name] is None:
+                    continue
+                assert left.sizes[name] == right.sizes[name]
+        assert pooled.failed_cells == 0
+        # Each call's cells ride one batch envelope.
+        assert pooled.serve_stats["batches"] == pooled.total_calls
+
+    def test_breaker_gates_harness_cells(self, tmp_path):
+        # A permanently hung heuristic stops being dispatched once its
+        # breaker opens, while healthy heuristics keep their cells.
+        flag = str(tmp_path / "always.flag")
+        with open(flag, "w") as handle:
+            handle.write("x")
+        register_heuristic(
+            "test_always_hang", _flaky_while_flag(flag), replace=True
+        )
+        try:
+            from repro.experiments.calls import collect_suite_calls
+            from repro.experiments.harness import run_heuristics
+
+            results = run_heuristics(
+                collect_suite_calls(["minmax5"]),
+                heuristics=("f_orig", "test_always_hang"),
+                compute_lower_bound=False,
+                parallel=2,
+                serve_deadline=0.4,
+            )
+            reasons = [
+                result.failures.get("test_always_hang", "")
+                for result in results.results
+            ]
+            assert all(reasons), "every hung cell must record a reason"
+            assert any("DeadlineExceeded" in reason for reason in reasons)
+            assert any("CircuitOpen" in reason for reason in reasons)
+            for result in results.results:
+                assert result.sizes["f_orig"] is not None
+                assert result.sizes["test_always_hang"] is None
+        finally:
+            unregister_heuristic("test_always_hang")

@@ -1,10 +1,23 @@
 """Tests for the command-line interface."""
 
+import json
 import multiprocessing
+import os
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.registry import register_heuristic, unregister_heuristic
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="serve's worker pool requires the fork start method",
+)
 
 
 class TestMinimize:
@@ -130,6 +143,106 @@ class TestServeCommands:
         assert not lines[3]["ok"]
         assert "UnknownHeuristic" in lines[3]["reason"]
         assert "served 3 request(s)" in captured.err
+
+    @needs_fork
+    def test_serve_runs_workers_lines_at_once_in_input_order(
+        self, tmp_path, capsys
+    ):
+        # The first request waits, up to its deadline, for a flag that
+        # only the second request creates: both succeed only if the two
+        # run at once, and the first reply must still be written first.
+        flag = str(tmp_path / "raised.flag")
+
+        def await_flag(manager, f, c):
+            while not os.path.exists(flag):
+                time.sleep(0.01)
+            return f
+
+        def raise_flag(manager, f, c):
+            with open(flag, "w"):
+                pass
+            return f
+
+        register_heuristic("test_await_flag", await_flag, replace=True)
+        register_heuristic("test_raise_flag", raise_flag, replace=True)
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"instance": "d1 01", "method": "test_await_flag"}\n'
+            '{"f": "a & b | c", "care": "a | b", '
+            '"method": "test_raise_flag"}\n'
+        )
+        try:
+            code = main(
+                ["serve", "--workers", "2", "--deadline", "5",
+                 "--input", str(requests)]
+            )
+        finally:
+            unregister_heuristic("test_await_flag")
+            unregister_heuristic("test_raise_flag")
+        assert code == 0
+        replies = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert [(reply["method"], reply["f_size"]) for reply in replies] == [
+            ("test_await_flag", 2),
+            ("test_raise_flag", 4),
+        ]
+        assert all(reply["ok"] for reply in replies), replies
+
+    @needs_fork
+    def test_serve_answers_a_non_string_method_as_bad_request(
+        self, tmp_path, capsys
+    ):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            '{"instance": "d1 01", "method": 5}\n{"instance": "d1 01"}\n'
+        )
+        assert main(["serve", "--workers", "1", "--input", str(requests)]) == 0
+        captured = capsys.readouterr()
+        replies = [json.loads(line) for line in captured.out.splitlines()]
+        assert replies[0] == {
+            "ok": False,
+            "error": "bad request: method must be a string",
+        }
+        assert replies[1]["ok"] and replies[1]["method"] == "osm_bt"
+        assert "served 1 request(s)" in captured.err
+
+    @needs_fork
+    def test_serve_replies_while_stdin_is_idle(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--workers", "1",
+             "--deadline", "10"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        ) as process:
+            try:
+                for request, f_size in (
+                    ('{"instance": "d1 01", "method": "osm_bt"}', 2),
+                    ('{"f": "a & b | c", "care": "a | b"}', 4),
+                ):
+                    process.stdin.write(request + "\n")
+                    process.stdin.flush()
+                    # stdin stays open: the reply must come while serve
+                    # waits for the next line.
+                    readable, _, _ = select.select(
+                        [process.stdout], [], [], 30
+                    )
+                    assert readable, "no reply while stdin was idle"
+                    reply = json.loads(process.stdout.readline())
+                    assert reply["ok"] and reply["f_size"] == f_size
+                process.stdin.close()
+                assert process.wait(timeout=30) == 0
+                assert "served 2 request(s)" in process.stderr.read()
+            finally:
+                if process.poll() is None:
+                    process.kill()
 
     def test_parallel_flags_parse(self):
         args = build_parser().parse_args(
